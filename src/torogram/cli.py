@@ -24,6 +24,7 @@ from .diagrams import (
     canonical_serialize,
     loop_to_json,
     parse_diagram,
+    require_valid,
     validate,
 )
 from .errors import (
@@ -84,6 +85,16 @@ def _base_of(path: str) -> DecoratedGaussDiagram:
     return d
 
 
+def _diagram(path: str) -> DecoratedGaussDiagram | TDiagram:
+    """A diagram; a marked one must realize every valuation it declares."""
+    d = _load(path)
+    if isinstance(d, TDiagram):
+        require_valid(d)
+    elif not isinstance(d, DecoratedGaussDiagram):
+        raise InvalidDiagram(f"{path} does not hold a diagram")
+    return d
+
+
 def _marked(path: str) -> TDiagram:
     d = _load(path)
     if not isinstance(d, TDiagram):
@@ -104,13 +115,7 @@ def _cmd_validate(ns) -> Result:
         report = validate(d)
         if report.ok:
             return 0, "ok", {"ok": True}
-        lines = [
-            f"arrow {a}: expected {e}, marked {x}" for a, e, x in report.arrow_violations
-        ]
-        if report.circle_violation is not None:
-            e, x = report.circle_violation
-            lines.append(f"circle: expected {e}, marked {x}")
-        return 1, "\n".join(lines), report.to_json()
+        return 1, "\n".join(report.problems), report.to_json()
     if isinstance(d, DecoratedGaussDiagram):
         # a plain diagram that parses is structurally sound already
         return 0, "ok", {"ok": True}
@@ -127,13 +132,8 @@ def _cmd_extract(ns) -> Result:
 
 
 def _cmd_represent(ns) -> Result:
-    d = _load(ns.inputs[0])
-    if isinstance(d, TDiagram):
-        word = represent_tdiagram(d)
-    elif isinstance(d, DecoratedGaussDiagram):
-        word = represent_dgd(d)
-    else:
-        raise InvalidDiagram(f"{ns.inputs[0]} already holds a slice word")
+    d = _diagram(ns.inputs[0])
+    word = represent_tdiagram(d) if isinstance(d, TDiagram) else represent_dgd(d)
     text = serialize_sliceword(word)
     return 0, text, {"word": text}
 
@@ -172,29 +172,16 @@ def _cmd_admissible(ns) -> Result:
     return 1, text, data
 
 
-def _levels_input(path: str) -> TDiagram:
-    d = _load(path)
-    if isinstance(d, TDiagram):
-        return d
-    if isinstance(d, DecoratedGaussDiagram):
-        return positive_refinement(d)
-    raise InvalidDiagram(f"{path} does not hold a diagram")
-
-
 def _cmd_levels(ns) -> Result:
-    levels = level_decomposition(_levels_input(ns.inputs[0]))
+    d = _diagram(ns.inputs[0])
+    levels = level_decomposition(d if isinstance(d, TDiagram) else positive_refinement(d))
     lines = [f"arrow {k}: level {v}" for k, v in sorted(levels.items())]
     return 0, "\n".join(lines), {"levels": {str(k): v for k, v in sorted(levels.items())}}
 
 
 def _cmd_braid(ns) -> Result:
-    d = _load(ns.inputs[0])
-    if isinstance(d, TDiagram):
-        word = synthesize_braid(d)
-    elif isinstance(d, DecoratedGaussDiagram):
-        word = represent_as_closed_braid(d)
-    else:
-        raise InvalidDiagram(f"{ns.inputs[0]} does not hold a diagram")
+    d = _diagram(ns.inputs[0])
+    word = synthesize_braid(d) if isinstance(d, TDiagram) else represent_as_closed_braid(d)
     text = serialize_braid(word)
     return 0, text, {"braid": text}
 

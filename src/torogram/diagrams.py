@@ -6,13 +6,17 @@ an integer valuation per arrow and one integer valuation for the circle.
 A T-diagram adds an ordered list of signed markings to every edge (the arc
 between two consecutive tokens).
 
-Instances are stored in a canonical rotation chosen at construction, so
-edge indices are reproducible across runs: edge ``i`` is the arc directly
+Instances are stored in a canonical rotation chosen once, at construction,
+so edge indices are reproducible across runs: edge ``i`` is the arc directly
 after the ``i``-th stored token, and edge ``2n - 1`` wraps back to token 0.
+The stored rotation has the least relabel-insensitive key (token kinds with
+arrows numbered by first appearance, then signs, then valuations), so it
+always starts at an ``H``.  When several rotations tie for that key, a
+T-diagram serializes from the tied rotation with the least marking tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -52,16 +56,24 @@ def _rotation_key(tokens: tuple[Token, ...], arrows: dict[int, Arrow], shift: in
     return (tuple(codes), signs, vals)
 
 
-def _canonical_shift(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> int:
+def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tuple[int, ...]:
+    """Ascending rotations of ``tokens`` tying for the least rotation key.
+
+    A least key starts ``(H, 1)``, so only rotations starting at an H compete.
+    """
     if not tokens:
-        return 0
-    best = 0
-    best_key = _rotation_key(tokens, arrows, 0)
-    for r in range(1, len(tokens)):
+        return (0,)
+    best_key = None
+    ties: list[int] = []
+    for r, tok in enumerate(tokens):
+        if tok.kind != "H":
+            continue
         key = _rotation_key(tokens, arrows, r)
-        if key < best_key:
-            best, best_key = r, key
-    return best
+        if best_key is None or key < best_key:
+            best_key, ties = key, [r]
+        elif key == best_key:
+            ties.append(r)
+    return tuple(ties)
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,10 @@ class DecoratedGaussDiagram:
     tokens: tuple[Token, ...]
     arrows: tuple[Arrow, ...]
     circle_valuation: int
+    # the input rotation the stored tokens start at
+    _rotation: int = field(init=False, repr=False, compare=False)
+    # rotations of the stored tokens tying for the least key; starts with 0
+    _tied_rotations: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(Token(k, a) for k, a in self.tokens)
@@ -79,11 +95,12 @@ class DecoratedGaussDiagram:
         n = len(arrows)
         if ids != list(range(1, n + 1)):
             raise InvalidDiagram(f"arrow ids must be exactly 1..{n}, got {ids}")
+        declared = set(ids)
         seen: dict[tuple[str, int], int] = {}
         for tok in tokens:
             if tok.kind not in ("H", "T"):
                 raise InvalidDiagram(f"unknown token kind {tok.kind!r}")
-            if tok.arrow not in {a.id for a in arrows}:
+            if tok.arrow not in declared:
                 raise InvalidDiagram(f"token for undeclared arrow {tok.arrow}")
             if tok in seen:
                 raise InvalidDiagram(f"duplicate token {tok.kind}{tok.arrow}")
@@ -92,10 +109,12 @@ class DecoratedGaussDiagram:
             raise InvalidDiagram(
                 f"expected {2 * n} tokens for {n} arrows, got {len(tokens)}"
             )
-        shift = _canonical_shift(tokens, {a.id: a for a in arrows})
-        tokens = tokens[shift:] + tokens[:shift]
-        object.__setattr__(self, "tokens", tokens)
+        ties = _least_rotations(tokens, {a.id: a for a in arrows})
+        shift = ties[0]
+        object.__setattr__(self, "tokens", tokens[shift:] + tokens[:shift])
         object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "_rotation", shift)
+        object.__setattr__(self, "_tied_rotations", tuple(r - shift for r in ties))
 
     @property
     def n(self) -> int:
@@ -117,15 +136,6 @@ class DecoratedGaussDiagram:
         for i, tok in enumerate(self.tokens):
             (heads if tok.kind == "H" else tails)[tok.arrow] = i
         return {a.id: (heads[a.id], tails[a.id]) for a in self.arrows}
-
-    @cached_property
-    def _minimal_shifts(self) -> tuple[int, ...]:
-        """All rotations of the stored word tying for the canonical key."""
-        if not self.tokens:
-            return (0,)
-        keys = [_rotation_key(self.tokens, self.arrow_map, r) for r in range(len(self.tokens))]
-        best = min(keys)
-        return tuple(r for r, k in enumerate(keys) if k == best)
 
     @cached_property
     def reference_counts(self) -> tuple[int, ...]:
@@ -245,17 +255,12 @@ def assemble_tdiagram(
     lists supplied alongside an arbitrary rotation must be re-indexed to the
     stored edge order; this does that bookkeeping.
     """
-    toks = tuple(Token(k, a) for k, a in tokens)
-    g = DecoratedGaussDiagram(toks, tuple(arrows), circle_valuation)
+    g = DecoratedGaussDiagram(tuple(tokens), tuple(arrows), circle_valuation)
     marks = [tuple(edge) for edge in markings]
-    m = len(toks)
-    if m == 0:
-        return TDiagram(g, tuple(marks))
+    m = g.edge_count
     if len(marks) != m:
         raise InvalidDiagram(f"expected {m} marking lists, got {len(marks)}")
-    # tokens are pairwise distinct, so exactly one rotation matches
-    shift = next(r for r in range(m) if g.tokens == toks[r:] + toks[:r])
-    return TDiagram(g, tuple(marks[(e + shift) % m] for e in range(m)))
+    return TDiagram(g, tuple(marks[(e + g._rotation) % m] for e in range(m)))
 
 
 @dataclass(frozen=True)
@@ -358,6 +363,15 @@ class ValidationReport:
             else {"expected": self.circle_violation[0], "actual": self.circle_violation[1]},
         }
 
+    @property
+    def problems(self) -> tuple[str, ...]:
+        """One line per violated valuation: arrows by id, then the circle."""
+        lines = [f"arrow {a}: expected {e}, marked {x}" for a, e, x in self.arrow_violations]
+        if self.circle_violation is not None:
+            e, x = self.circle_violation
+            lines.append(f"circle: expected {e}, marked {x}")
+        return tuple(lines)
+
 
 def validate(t: TDiagram) -> ValidationReport:
     """Check every arrow valuation and the circle valuation against the markings."""
@@ -379,6 +393,13 @@ def validate(t: TDiagram) -> ValidationReport:
     if circle_total != g.circle_valuation:
         circle = (g.circle_valuation, circle_total)
     return ValidationReport(not bad and circle is None, tuple(bad), circle)
+
+
+def require_valid(t: TDiagram) -> None:
+    """Raise :class:`InvalidDiagram` unless the markings realize every valuation."""
+    report = validate(t)
+    if not report.ok:
+        raise InvalidDiagram("not a refinement: " + "; ".join(report.problems))
 
 
 # -- serialization ----------------------------------------------------------
@@ -433,7 +454,7 @@ def canonical_serialize(d: DecoratedGaussDiagram | TDiagram) -> str:
     edge_count = g.edge_count
     best_shift = None
     best_tuple = None
-    for r in g._minimal_shifts:
+    for r in g._tied_rotations:
         rotated = tuple(d.markings[(e + r) % edge_count] for e in range(edge_count))
         if best_tuple is None or rotated < best_tuple:
             best_tuple, best_shift = rotated, r
@@ -516,10 +537,8 @@ def parse_diagram(text: str) -> DecoratedGaussDiagram | TDiagram:
         raise ParseError(
             f"'seq' lists {len(tokens)} endpoints but 'arrows {n}' needs {2 * n}", seq_line
         )
-    if n == 0:
-        edge_marks[0] = pending + leading
-    else:
-        edge_marks[2 * n - 1] = pending + leading
+    edge_count = max(2 * n, 1)
+    edge_marks[edge_count - 1] = pending + leading
 
     counts: dict[tuple[str, int], int] = {}
     for tok in tokens:
@@ -552,17 +571,11 @@ def parse_diagram(text: str) -> DecoratedGaussDiagram | TDiagram:
         missing = sorted(set(range(1, n + 1)) - set(arrows))
         raise ParseError(f"missing 'arrow {missing[0]}' line")
 
-    tokens_t = tuple(tokens)
     arrow_t = tuple(arrows[a] for a in sorted(arrows))
-    g = DecoratedGaussDiagram(tokens_t, arrow_t, circle)
     if not any_marks:
-        return g
-    shift = _canonical_shift(tokens_t, arrows)
-    edge_count = g.edge_count
-    marks = tuple(
-        tuple(edge_marks.get((e + shift) % edge_count, ())) for e in range(edge_count)
-    )
-    return TDiagram(g, marks)
+        return DecoratedGaussDiagram(tuple(tokens), arrow_t, circle)
+    marks = [edge_marks.get(e, ()) for e in range(edge_count)]
+    return assemble_tdiagram(tokens, arrow_t, circle, marks)
 
 
 # -- loop JSON ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from .diagrams import (
     Token,
     canonical_serialize,
     is_full,
-    validate,
+    require_valid,
 )
 from .errors import InvalidDiagram, NotFull, NotRealRealizable
 from .refine import minimal_refinement
@@ -561,13 +561,9 @@ def _passage_table(word: SliceWord, base: DecoratedGaussDiagram):
                 ids[ev[1]] = len(ids) + 1
             walk.append(Token("H" if ev[2] else "T", ids[ev[1]]))
     m = len(walk)
-    if m:
-        stored = base.tokens
-        shift = next(
-            r for r in range(m) if stored == tuple(walk[r:] + walk[:r])
-        )
-    else:
-        shift = 0
+    shift = base._rotation
+    if tuple(walk[shift:] + walk[:shift]) != base.tokens:
+        raise InvalidDiagram("the drawing does not read back to the given diagram")
     raw: list[tuple[int, int, int, int]] = []
     pending: list[tuple[int, int, int]] = []
     seen = 0
@@ -651,9 +647,7 @@ def find_section(word: SliceWord, t: TDiagram):
     drawn = extract_tdiagram(word)
     if not is_full(drawn.base):
         raise NotFull("the drawn knot has zero decorations; no section separates it")
-    report = validate(t)
-    if not report.ok:
-        raise InvalidDiagram("; ".join(report.problems))
+    require_valid(t)
     if canonical_serialize(t.base) != canonical_serialize(drawn.base):
         raise InvalidDiagram("the markings refine a different diagram")
 

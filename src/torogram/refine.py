@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admit import ADMISSIBLE, NOT_WEAKLY, check_admissible, transition_graph
-from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, validate
+from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid
 from .errors import InvalidDiagram, NotAdmissible, NotWeaklyAdmissible
 
 
@@ -281,13 +281,7 @@ def apply_move(t: TDiagram, move: Move) -> TDiagram:
         g = t.base
         if move.arrow not in g.arrow_map:
             raise InvalidDiagram(f"no arrow {move.arrow}")
-        h, tl = g.positions[move.arrow]
-        m = 2 * g.n
-        s = 1 if isinstance(move, TypeIIPlus) else -1
-        for p in (h, tl):
-            marks[p].insert(0, s)
-        for p in (h, tl):
-            marks[(p - 1) % m].append(-s)
+        _apply_bump(g, marks, move.arrow, 1 if isinstance(move, TypeIIPlus) else -1)
     return TDiagram(t.base, tuple(tuple(e) for e in marks))
 
 
@@ -350,9 +344,8 @@ def connect_refinements(t1: TDiagram, t2: TDiagram) -> list[Move]:
     base = t1.base
     if canonical_serialize(t2.base) != canonical_serialize(base):
         raise InvalidDiagram("the two refinements decorate different diagrams")
-    for t in (t1, t2):
-        if not validate(t).ok:
-            raise InvalidDiagram("input is not a refinement: valuations do not match")
+    require_valid(t1)
+    require_valid(t2)
     target = [list(e) for e in t2.markings]  # same indexing: stored words agree
     cur = [list(e) for e in t1.markings]
     if cur == target:

@@ -33,6 +33,9 @@ arrow 1 sign + val 0
 
 NEGATIVE_CIRCLE = "circle -1\narrows 0\nseq\n"
 
+# one marking where the trefoil's valuations ask for two
+BROKEN_TREFOIL = TREFOIL.replace("seq H1", "seq M+ H1")
+
 
 @pytest.fixture
 def trefoil(tmp_path):
@@ -88,7 +91,7 @@ def test_validate_accepts_the_trefoil(capsys, trefoil):
 
 def test_validate_flags_a_broken_refinement(capsys, tmp_path):
     p = tmp_path / "bad.gd"
-    p.write_text(TREFOIL.replace("seq H1", "seq M+ H1"))
+    p.write_text(BROKEN_TREFOIL)
     code, out, _ = run(capsys, "validate", str(p), "--json")
     assert code == 1
     assert json.loads(out)["ok"] is False
@@ -224,6 +227,25 @@ def test_section_rejects_virtual_words(capsys, trefoil, tmp_path):
     code, _, err = run(capsys, "section", str(sw), str(marked))
     assert code == 2
     assert "virtual" in err
+
+
+def test_section_rejects_contradictory_markings(capsys, trefoil, tmp_path):
+    sw = tmp_path / "t.sw"
+    bad = tmp_path / "bad.gd"
+    bad.write_text(BROKEN_TREFOIL)
+    run(capsys, "reconstruct", trefoil, "--out", str(sw))
+    code, out, _ = run(capsys, "section", str(sw), str(bad), "--json")
+    assert code == 2
+    assert "circle: expected 2, marked 1" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["braid", "levels", "represent"])
+def test_contradictory_markings_are_rejected_as_input(capsys, tmp_path, command):
+    p = tmp_path / "bad.gd"
+    p.write_text(BROKEN_TREFOIL)
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert "not a refinement" in err
 
 
 def test_render_writes_an_svg(capsys, trefoil, tmp_path):

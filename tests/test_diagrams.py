@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -25,6 +27,8 @@ from torogram import (
     parse_diagram,
     validate,
 )
+from torogram.braid import braid_to_sliceword, parse_braid
+from torogram.slices import extract_tdiagram
 
 from gen import dgd_diagrams, random_dgd, random_tdiagram, scrambled_copy, scrambled_tdiagram, t_diagrams
 
@@ -254,3 +258,86 @@ def test_marking_first_generator_always_validates():
         assert validate(t).ok
         if t.base.n:
             assert loop_homology(t.base, t.base.circle_loop()) == t.base.circle_valuation
+
+
+# sha256 of _golden_texts() as computed before the canonical rotation was
+# cached at construction; any change to canonical text or edge order shows here
+GOLDEN_SHA256 = "e4d479289956926cd6d5070da2b3b51e23823dfdff0c2393a61b8b25b879dc26"
+
+# braid closures: their Gauss words are periodic, so rotations tie
+PERIODIC_BRAIDS = (
+    "strands 2\n" + "s 1\n" * 3,
+    "strands 2\n" + "s 1\n" * 5,
+    "strands 3\n" + "s 1\ns 2\n" * 4,
+    "strands 3\n" + "s 1\nS 2\n" * 2,
+    "strands 4\n" + "s 1\ns 2\ns 3\n" * 5,
+    "strands 2\ns 1\nS 1\ns 1\n",
+)
+
+
+def _raw_text(t: TDiagram) -> str:
+    """``.gd`` text of the stored word as is, arrow labels and rotation kept."""
+    items = []
+    for tok, edge in zip(t.base.tokens, t.markings):
+        items.append(f"{tok.kind}{tok.arrow}")
+        items.extend("M+" if s == 1 else "M-" for s in edge)
+    lines = [f"circle {t.base.circle_valuation}", f"arrows {t.base.n}", "seq " + " ".join(items)]
+    for a in t.base.arrows:
+        lines.append(f"arrow {a.id} sign {'+' if a.sign == 1 else '-'} val {a.valuation}")
+    return "\n".join(lines) + "\n"
+
+
+def _golden_texts() -> list[str]:
+    rng = random.Random(20261018)
+    out = []
+    for n in range(9):
+        for _ in range(10):
+            g = random_dgd(rng, n=n, val_range=1)
+            t = random_tdiagram(rng, n=n, max_marks_per_edge=1)
+            out += [g, scrambled_copy(g, rng), t, scrambled_tdiagram(t, rng)]
+    for text in PERIODIC_BRAIDS:
+        t = extract_tdiagram(braid_to_sliceword(parse_braid(text)))
+        out += [t, t.base, scrambled_tdiagram(t, rng), scrambled_copy(t.base, rng)]
+    texts = [canonical_serialize(d) for d in out]
+    # the stored rotation fixes edge indices, which canonical text hides
+    for d in out:
+        layout = (d.tokens,) if isinstance(d, DecoratedGaussDiagram) else (d.base.tokens, d.markings)
+        texts.append(repr(layout))
+    for t in out[2::4]:
+        if t.base.n:
+            texts.append(canonical_serialize(parse_diagram(_raw_text(scrambled_tdiagram(t, rng)))))
+    return texts
+
+
+def test_canonical_text_is_byte_identical_to_the_frozen_corpus():
+    texts = _golden_texts()
+    assert len(texts) == 854
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_tied_rotations_of_a_periodic_word_break_by_markings():
+    # the sigma_1^3 trefoil word with equal decorations has three tied
+    # rotations; the markings differ between them, so they decide
+    tokens = [("H", 1), ("T", 2), ("H", 3), ("T", 1), ("H", 2), ("T", 3)]
+    marks = [(1,), (), (1, 1, -1), (), (-1, 1, 1), ()]
+    expected = """\
+circle 3
+arrows 3
+seq H1 M- M+ M+ T2 H3 M+ T1 H2 M+ M+ M- T3
+arrow 1 sign + val 2
+arrow 2 sign + val 2
+arrow 3 sign + val 2
+"""
+    for r in range(6):
+        for perm in itertools.permutations((1, 2, 3)):
+            relabel = dict(zip((1, 2, 3), perm))
+            t = assemble_tdiagram(
+                [(k, relabel[a]) for k, a in tokens[r:] + tokens[:r]],
+                [Arrow(k, 1, 2) for k in perm],
+                3,
+                marks[r:] + marks[:r],
+            )
+            assert validate(t).ok
+            assert t.base._tied_rotations == (0, 2, 4)
+            assert canonical_serialize(t) == expected
+            assert canonical_serialize(parse_diagram(_raw_text(t))) == expected
