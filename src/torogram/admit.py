@@ -62,18 +62,21 @@ def _walk_to_loop(g: DecoratedGaussDiagram, circle_edges: list[int]) -> DiagramL
     return DiagramLoop(tuple(steps))
 
 
-def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | None:
-    """A directed cycle with ``sum(scale*w + bias) < 0``, as circle-edge walk.
+def bellman_ford(
+    tg: TransitionGraph, scale: int = 1, bias: int = 0
+) -> tuple[list[int], dict[int, tuple[int, int]], int | None]:
+    """Bellman-Ford under ``scale*w + bias`` from a virtual everywhere-source.
 
-    Bellman-Ford from a virtual everywhere-source.  If some pass among the
-    first ``vertex_count`` still relaxes, a cycle negative under the rescaled
-    weights exists, and the predecessor chain of the last relaxed vertex is
-    then long enough to be guaranteed to wrap around one.
+    Returns ``(dist, pred, last)``.  ``last`` is None once a pass relaxes
+    nothing: no cycle is negative and ``dist`` is a feasible potential.
+    Otherwise it was relaxed in the final pass and ``pred`` leads back onto a
+    negative cycle.
     """
     n = tg.vertex_count
     edges = [(u, v, scale * w + bias, ce) for (u, v, w, ce) in tg.edges]
     dist = [0] * (n + 1)
     pred: dict[int, tuple[int, int]] = {}
+    last = None
     for _ in range(n):
         last = None
         for u, v, wt, ce in edges:
@@ -83,7 +86,19 @@ def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | N
                 pred[v] = (u, ce)
                 last = v
         if last is None:
-            return None
+            break
+    return dist, pred, last
+
+
+def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | None:
+    """A directed cycle with ``sum(scale*w + bias) < 0``, as circle-edge walk.
+
+    The predecessor chain of a vertex still relaxed in the last Bellman-Ford
+    pass is long enough to be guaranteed to wrap around one.
+    """
+    _, pred, last = bellman_ford(tg, scale, bias)
+    if last is None:
+        return None
     seen: dict[int, int] = {}
     order: list[int] = []
     cur = last
@@ -96,7 +111,7 @@ def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | N
     return [pred[cyc[i]][1] for i in range(c - 2, -1, -1)] + [pred[cyc[c - 1]][1]]
 
 
-def _negative_cycle(tg: TransitionGraph) -> list[int] | None:
+def negative_cycle(tg: TransitionGraph) -> list[int] | None:
     """A cycle of weight < 0, exactly.
 
     Rescaling w -> (E+1)*w + 1 keeps cycles of weight <= -1 negative, pushes
@@ -129,7 +144,9 @@ class AdmissibilityReport:
 def _certified(
     g: DecoratedGaussDiagram, verdict: str, loop: DiagramLoop, homology: int
 ) -> AdmissibilityReport:
-    assert loop_homology(g, loop) == homology
+    actual = loop_homology(g, loop)
+    if actual != homology:
+        raise RuntimeError(f"certificate loop has class {actual}, not the claimed {homology}")
     return AdmissibilityReport(verdict, loop, homology)
 
 
@@ -153,7 +170,7 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
     if w < 0:
         return _certified(g, NOT_WEAKLY, g.circle_loop(), w)
     tg = transition_graph(g)
-    walk = _negative_cycle(tg)
+    walk = negative_cycle(tg)
     if walk is not None:
         loop = _walk_to_loop(g, walk)
         counts = g.reference_counts

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram, ParseError
@@ -374,24 +375,20 @@ class ValidationReport:
 
 
 def validate(t: TDiagram) -> ValidationReport:
-    """Check every arrow valuation and the circle valuation against the markings."""
+    """Check every arrow valuation and the circle valuation against the markings.
+
+    O(m): an arrow's total is a difference of prefix sums of the net counts.
+    """
     g = t.base
-    counts = t.net_counts()
-    m = 2 * g.n
+    prefix = list(accumulate(t.net_counts(), initial=0))
+    circle_total = prefix[-1]
     bad = []
     for arrow in g.arrows:
         h, tl = g.positions[arrow.id]
-        total = 0
-        e = h
-        while e != tl:
-            total += counts[e]
-            e = (e + 1) % m
+        total = prefix[tl] - prefix[h] + (0 if h < tl else circle_total)
         if total != arrow.valuation:
             bad.append((arrow.id, arrow.valuation, total))
-    circle_total = sum(counts)
-    circle = None
-    if circle_total != g.circle_valuation:
-        circle = (g.circle_valuation, circle_total)
+    circle = None if circle_total == g.circle_valuation else (g.circle_valuation, circle_total)
     return ValidationReport(not bad and circle is None, tuple(bad), circle)
 
 

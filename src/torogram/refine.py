@@ -3,13 +3,27 @@
 A refinement of a diagram is a T-diagram over it that validates.  This module
 constructs them (reference, minimal, nonnegative, positive), describes the
 lattice of solutions, and connects any two refinements by local moves.
+
+Refinement counts are exactly ``reference_counts + δπ``, where a potential
+``π`` on the arrows adds ``π(v) - π(u)`` to transition edge ``u -> v``.  The
+nonnegative and minimal refinements are the lexicographically least such
+vectors under one sign constraint per edge, found by one core, ``_lex_least``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .admit import ADMISSIBLE, NOT_WEAKLY, check_admissible, transition_graph
-from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid
+from .admit import (
+    ADMISSIBLE,
+    NOT_WEAKLY,
+    TransitionGraph,
+    bellman_ford,
+    check_admissible,
+    negative_cycle,
+    transition_graph,
+)
+from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid, validate
 from .errors import InvalidDiagram, NotAdmissible, NotWeaklyAdmissible
 
 
@@ -46,88 +60,110 @@ def _pair_vector(g: DecoratedGaussDiagram, arrow_id: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+# -- the lexicographic core ----------------------------------------------------
+
+
+def _lex_least(tg: TransitionGraph, counts: list[int], signs: list[int]) -> list[int]:
+    """The lexicographically least ``counts + δπ`` with ``signs[e] * x_e >= 0``.
+
+    A zero sign means ``x_e = 0``; ``counts`` meets the constraints, and they
+    bound every ``x_e`` below.  A constraint is an arc costing its value,
+    ``u -> v`` costing ``x_e`` or ``v -> u`` costing ``-x_e``.  ``= 0`` edges are
+    contracted, then edges frozen in index order, each glueing its ends into
+    one component moving as a unit (a union-find by size whose vertices keep
+    their potential as an offset).  Edge ``u -> v`` can drop by exactly the
+    distance ``D`` from ``u``'s component to ``v``'s, found by one Dijkstra;
+    raising each component settled at ``d`` by ``D - d`` moves it there and
+    keeps every reduced cost nonnegative (Johnson's reweighting).  Freezing
+    each edge at its least value given the earlier ones is lexicographic.
+    """
+    n = tg.vertex_count
+    ends = [(u, v) for (u, v, _, _) in tg.edges]
+    comp = list(range(n + 1))
+    members = [[v] for v in range(n + 1)]
+    lift = [0] * (n + 1)  # potential of a component
+    off = [0] * (n + 1)  # potential of a vertex over its component's
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]  # per component
+    for e, ((u, v), s) in enumerate(zip(ends, signs)):
+        if s:
+            out[u if s > 0 else v].append((e, v if s > 0 else u, s))
+
+    def value(e: int) -> int:
+        u, v = ends[e]
+        return counts[e] + off[v] + lift[comp[v]] - off[u] - lift[comp[u]]
+
+    def merge(a: int, b: int) -> None:
+        a, b = sorted((comp[a], comp[b]), key=lambda c: -len(members[c]))
+        for v in members[b]:
+            comp[v] = a
+            off[v] += lift[b] - lift[a]
+        members[a] += members[b]
+        out[a] += out[b]
+        members[b], out[b] = [], []
+
+    for (u, v), s in zip(ends, signs):
+        if s == 0 and comp[u] != comp[v]:
+            merge(u, v)
+    for i, (u, v) in enumerate(ends):
+        if comp[u] == comp[v]:
+            continue
+        # a >= 0 edge is itself a path of cost x_i: only the ball below it matters
+        reach = value(i) if signs[i] > 0 else None
+        heap = [(0, comp[u])] if reach != 0 else []
+        settled: dict[int, int] = {}
+        while heap:
+            d, c = heappop(heap)
+            if c in settled:
+                continue
+            settled[c] = d
+            if c == comp[v]:
+                reach = d
+                break
+            out[c] = [arc for arc in out[c] if comp[arc[1]] != c]  # drop arcs gone internal
+            for e, b, s in out[c]:
+                nd = d + s * value(e)
+                if comp[b] not in settled and (reach is None or nd < reach):
+                    heappush(heap, (nd, comp[b]))
+        if reach is None:
+            raise RuntimeError(f"circle edge {i} is unbounded below under its constraints")
+        for c, d in settled.items():
+            lift[c] += reach - d
+        merge(u, v)
+    return [value(e) for e in range(len(ends))]
+
+
+def _refinement(
+    g: DecoratedGaussDiagram, tg: TransitionGraph, arcs: TransitionGraph, signs: list[int]
+) -> TDiagram:
+    """Run the core from Bellman-Ford distances on the constraint ``arcs``; check its answer."""
+    dist, _, last = bellman_ford(arcs)
+    if last is not None:
+        raise RuntimeError("the sign constraints have a negative cycle")
+    start = [w + dist[u] - dist[v] for (u, v, w, _) in tg.edges]
+    counts = _lex_least(tg, start, signs) if g.n else [g.circle_valuation]
+    broken = [e for e, (x, s) in enumerate(zip(counts, signs)) if x * s < 0 or (x and not s)]
+    t = TDiagram(g, _counts_to_markings(counts))
+    problems = validate(t).problems
+    if broken or problems:
+        raise RuntimeError(f"refinement core broke its postcondition: edges {broken}, {problems}")
+    return t
+
+
 # -- nonnegative and positive refinements -------------------------------------
 
 
-def _nonnegative_counts(g: DecoratedGaussDiagram) -> list[int]:
-    """An everywhere-nonnegative solution; sound once weak admissibility holds.
-
-    Works on the transition graph, where consistent count vectors differ by
-    coboundaries of vertex potentials and weak admissibility says every
-    directed cycle has nonnegative count.  Edges are frozen left to right;
-    freezing an edge glues its endpoints, and the safe window for its value
-    follows from shortest directed paths between its endpoints among the
-    still-free edges.  The window is never empty and its lower end is never
-    negative while the no-negative-cycle invariant holds, so always freezing
-    the smallest safe value pins every edge at a nonnegative count.
-    """
-    counts = list(g.reference_counts)
-    n = g.n
-    if n == 0:
-        return counts
-    m = 2 * n
-    ends = [(u, v) for (u, v, _, _) in transition_graph(g).edges]
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    free = [True] * m
-
-    def shortest(src: int, dst: int) -> int | None:
-        dist = {src: 0}
-        for _ in range(n):
-            changed = False
-            for j in range(m):
-                if not free[j]:
-                    continue
-                du = dist.get(find(ends[j][0]))
-                if du is None:
-                    continue
-                nd = du + counts[j]
-                rv = find(ends[j][1])
-                if nd < dist.get(rv, nd + 1):
-                    dist[rv] = nd
-                    changed = True
-            if not changed:
-                break
-        return dist.get(dst)
-
-    for i in range(m):
-        free[i] = False
-        ra, rb = find(ends[i][0]), find(ends[i][1])
-        if ra == rb:
-            # the value is pinned by earlier choices; the cycle invariant
-            # keeps pinned values nonnegative
-            assert counts[i] >= 0, counts
-            continue
-        toward = shortest(ra, rb)
-        backward = shortest(rb, ra)
-        lo = 0 if toward is None else max(0, counts[i] - toward)
-        hi = None if backward is None else counts[i] + backward
-        assert hi is None or lo <= hi, (lo, hi, counts)
-        dz = lo - counts[i]
-        if dz:
-            for j in range(m):
-                u, v = ends[j]
-                counts[j] += dz * ((find(v) == rb) - (find(u) == rb))
-        assert counts[i] == lo
-        parent[rb] = ra
-    return counts
-
-
 def non_negative_refinement(g: DecoratedGaussDiagram) -> TDiagram:
-    """A refinement with every marking sign +1; needs weak admissibility.
+    """The lexicographically least refinement with every marking sign +1.
 
-    Raises :class:`NotWeaklyAdmissible` with the certificate loop otherwise.
+    Needs weak admissibility: no transition cycle is negative, so the
+    transition graph itself is the constraint graph of ``x >= 0``.  Raises
+    :class:`NotWeaklyAdmissible` with the certificate loop otherwise.
     """
     report = check_admissible(g)
     if report.verdict == NOT_WEAKLY:
         raise NotWeaklyAdmissible(report.certificate, report.homology)
-    return TDiagram(g, _counts_to_markings(_nonnegative_counts(g)))
+    tg = transition_graph(g)
+    return _refinement(g, tg, tg, [1] * len(tg.edges))
 
 
 def positive_refinement(g: DecoratedGaussDiagram) -> TDiagram:
@@ -140,8 +176,10 @@ def positive_refinement(g: DecoratedGaussDiagram) -> TDiagram:
     report = check_admissible(g)
     if report.verdict != ADMISSIBLE:
         raise NotAdmissible(report.certificate, report.homology)
-    t = TDiagram(g, _counts_to_markings(_nonnegative_counts(g)))
-    assert t.is_positive
+    tg = transition_graph(g)
+    t = _refinement(g, tg, tg, [1] * len(tg.edges))
+    if not t.is_positive:
+        raise RuntimeError("admissible diagram without a positive refinement")
     return t
 
 
@@ -151,72 +189,28 @@ def positive_refinement(g: DecoratedGaussDiagram) -> TDiagram:
 def minimal_refinement(g: DecoratedGaussDiagram) -> TDiagram:
     """The refinement with the fewest markings; ties broken by smallest counts.
 
-    Count vectors are prefix differences of integer values on token gaps, one
-    free offset per arrow not containing the basepoint.  Branch and bound over
-    those offsets: any solution of cost C keeps every prefix value within
-    (C + |w|) / 2 of zero, so the incumbent from the reference solution boxes
-    the search.
+    Minimizing ``sum |x_e|`` over potentials is a linear program; its dual
+    is a circulation ``-1 <= f_e <= 1`` of cost ``sum w_e f_e`` (``w`` the
+    reference counts), with optimum minus the least marking count.  Negative
+    residual cycles are cancelled one unit at a time, each lowering the cost
+    by at least 1.  By complementary slackness the minimal count vectors are
+    then exactly those with ``x_e = 0`` where ``f_e = 0``, ``x_e >= 0`` where
+    ``f_e = -1`` and ``x_e <= 0`` where ``f_e = +1``: the residual arcs are
+    their constraint arcs, and the lexicographic core picks the least.
     """
-    n = g.n
-    w = g.circle_valuation
-    if n == 0:
-        return TDiagram(g, _counts_to_markings((w,)))
-    m = 2 * n
-    pairs = []
-    for a in g.arrows:
-        h, t = g.positions[a.id]
-        delta = a.valuation if h < t else a.valuation - w
-        pairs.append((h, t, delta) if h < t else (t, h, -delta))
-    pairs.sort()
-
-    ref = g.reference_counts
-    best_cost = sum(abs(x) for x in ref)
-    best_x: tuple[int, ...] | None = None
-    box = (best_cost + abs(w)) // 2
-
-    prefix: list[int | None] = [None] * (m + 1)
-    prefix[0] = 0
-    prefix[m] = w
-
-    def lower_bound() -> int:
-        # consecutive known values cost their exact gap; a run of unknowns
-        # in between costs at least the jump across it
-        total = 0
-        last = 0
-        for r in range(1, m + 1):
-            val = prefix[r]
-            if val is not None:
-                total += abs(val - last)
-                last = val
-        return total
-
-    def descend(i: int) -> None:
-        nonlocal best_cost, best_x
-        if lower_bound() > best_cost:
-            return
-        if i == len(pairs):
-            x = tuple(prefix[r + 1] - prefix[r] for r in range(m))
-            cost = sum(abs(v) for v in x)
-            if cost < best_cost or (cost == best_cost and (best_x is None or x < best_x)):
-                best_cost, best_x = cost, x
-            return
-        p, q, d = pairs[i]
-        if p == 0:
-            prefix[q] = d
-            descend(i + 1)
-            prefix[q] = None
-            return
-        for s in range(-box, box + 1):
-            if abs(s + d) > box:
-                continue
-            prefix[p], prefix[q] = s, s + d
-            descend(i + 1)
-        prefix[p] = prefix[q] = None
-
-    descend(0)
-    if best_x is None:  # the reference solution was never beaten or matched in-search
-        best_x = ref
-    return TDiagram(g, _counts_to_markings(best_x))
+    tg = transition_graph(g)
+    m = len(tg.edges)
+    flow = [0] * m
+    while True:
+        # forward arc e raises f_e at cost w_e, backward arc e + m lowers it at -w_e
+        arcs = [(u, v, w, e) for (u, v, w, e) in tg.edges if flow[e] < 1]
+        arcs += [(v, u, -w, e + m) for (u, v, w, e) in tg.edges if flow[e] > -1]
+        residual = TransitionGraph(tg.vertex_count, tuple(arcs))
+        cycle = negative_cycle(residual)
+        if cycle is None:
+            return _refinement(g, tg, residual, [-f for f in flow])
+        for a in cycle:
+            flow[a % m] += 1 if a < m else -1
 
 
 # -- moves ---------------------------------------------------------------------
@@ -319,18 +313,15 @@ def _normalize_blocks(marks: list[list[int]]) -> list[tuple[int, int, int]]:
     Returns the performed deletions as (edge, pos, removed leading sign).
     """
     done = []
-    changed = True
-    while changed:
-        changed = False
-        for e, row in enumerate(marks):
-            for p in range(len(row) - 1):
-                if row[p] == -row[p + 1]:
-                    done.append((e, p, row[p]))
-                    del row[p:p + 2]
-                    changed = True
-                    break
-            if changed:
-                break
+    for e, row in enumerate(marks):
+        p = 0  # no pair cancels left of p
+        while p < len(row) - 1:
+            if row[p] == -row[p + 1]:
+                done.append((e, p, row[p]))
+                del row[p:p + 2]
+                p = max(p - 1, 0)
+            else:
+                p += 1
     return done
 
 
@@ -351,9 +342,7 @@ def connect_refinements(t1: TDiagram, t2: TDiagram) -> list[Move]:
     if cur == target:
         return []
 
-    moves: list[Move] = []
-    for e, p, _ in _normalize_blocks(cur):
-        moves.append(TypeIDelete(e, p))
+    moves: list[Move] = [TypeIDelete(e, p) for e, p, _ in _normalize_blocks(cur)]
     goal = [list(e) for e in target]
     undo = _normalize_blocks(goal)
 
@@ -362,16 +351,16 @@ def connect_refinements(t1: TDiagram, t2: TDiagram) -> list[Move]:
     coeffs = _bump_coefficients(base, [b - a for a, b in zip(x1, x2)])
     for arrow_id in sorted(coeffs):
         for _ in range(coeffs[arrow_id]):
-            move = TypeIIPlus(arrow_id)
-            moves.append(move)
+            moves.append(TypeIIPlus(arrow_id))
             _apply_bump(base, cur, arrow_id, 1)
-    for e, p, _ in _normalize_blocks(cur):
-        moves.append(TypeIDelete(e, p))
-    assert cur == goal, (cur, goal)
+    moves += [TypeIDelete(e, p) for e, p, _ in _normalize_blocks(cur)]
+    if cur != goal:
+        raise RuntimeError("bump moves did not reach the target's net counts")
     for e, p, s in reversed(undo):
         moves.append(TypeIInsert(e, p, s))
         cur[e][p:p] = [s, -s]
-    assert cur == target
+    if cur != target:
+        raise RuntimeError("replayed insertions did not rebuild the target markings")
     return moves
 
 
@@ -394,7 +383,8 @@ def _bump_coefficients(g: DecoratedGaussDiagram, delta: list[int]) -> dict[int, 
     """
     n = g.n
     if n == 0:
-        assert all(d == 0 for d in delta)
+        if any(delta):
+            raise RuntimeError("count change on the bare circle does not preserve its valuation")
         return {}
     m = 2 * n
     potential = {g.tokens[0].arrow: 0}
@@ -402,10 +392,10 @@ def _bump_coefficients(g: DecoratedGaussDiagram, delta: list[int]) -> dict[int, 
         u = g.tokens[r].arrow
         v = g.tokens[(r + 1) % m].arrow
         val = potential[u] + delta[r]
-        if v in potential:
-            assert potential[v] == val, "count change does not preserve valuations"
-        else:
+        if v not in potential:
             potential[v] = val
+        elif potential[v] != val:
+            raise RuntimeError("count change does not preserve valuations")
     coeffs = {k: -y for k, y in potential.items()}
     shift = -min(coeffs.values())
     return {k: c + shift for k, c in coeffs.items()}

@@ -175,6 +175,37 @@ def brute_minimal_counts(g: DecoratedGaussDiagram) -> tuple[int, ...]:
     return best[1]
 
 
+def brute_nonnegative_counts(g: DecoratedGaussDiagram) -> tuple[int, ...] | None:
+    """Exhaustive lexicographically least nonnegative count vector, if any.
+
+    Nonnegative counts sum to the circle valuation w, so every prefix value
+    lies in [0, w]: enumerate the free prefix values in that box.
+    """
+    import itertools
+
+    w = g.circle_valuation
+    if g.n == 0:
+        return (w,) if w >= 0 else None
+    m = 2 * g.n
+    pairs = []
+    for a in g.arrows:
+        h, t = g.positions[a.id]
+        delta = a.valuation if h < t else a.valuation - w
+        pairs.append((h, t, delta) if h < t else (t, h, -delta))
+    pairs.sort()
+    best = None
+    for combo in itertools.product(range(0, w + 1), repeat=len(pairs) - 1):
+        prefix = [0] * (m + 1)
+        prefix[m] = w
+        prefix[pairs[0][1]] = pairs[0][2]
+        for (p, q, d), s in zip(pairs[1:], combo):
+            prefix[p], prefix[q] = s, s + d
+        x = tuple(prefix[r + 1] - prefix[r] for r in range(m))
+        if min(x) >= 0 and (best is None or x < best):
+            best = x
+    return best
+
+
 def turning_number(word) -> int:
     """Total rotation of the drawn closed curve, read straight off the grid.
 

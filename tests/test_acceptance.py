@@ -37,7 +37,9 @@ from torogram.refine import (
     TypeIIPlus,
     apply_move,
     connect_refinements,
+    find_refinement,
     kernel_basis,
+    minimal_refinement,
     non_negative_refinement,
     positive_refinement,
 )
@@ -323,3 +325,13 @@ def test_admissibility_scales_to_five_hundred_arrows():
     report = check_admissible(tame)
     assert time.perf_counter() - t0 < 2.0
     assert report.verdict == ADMISSIBLE
+
+
+def test_minimal_refinement_scales_to_forty_arrows():
+    # the exhaustive search this replaced took minutes already at twelve
+    g = random_dgd(random.Random(40), n=40)
+    t0 = time.perf_counter()
+    t = minimal_refinement(g)
+    assert time.perf_counter() - t0 < 2.0
+    assert validate(t).ok
+    assert t.marking_count <= find_refinement(g).marking_count

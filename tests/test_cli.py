@@ -239,7 +239,10 @@ def test_section_rejects_contradictory_markings(capsys, trefoil, tmp_path):
     assert "circle: expected 2, marked 1" in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("command", ["braid", "levels", "represent"])
+@pytest.mark.parametrize(
+    "command",
+    ["braid", "levels", "represent", "refine", "admissible", "reconstruct", "whitney", "render"],
+)
 def test_contradictory_markings_are_rejected_as_input(capsys, tmp_path, command):
     p = tmp_path / "bad.gd"
     p.write_text(BROKEN_TREFOIL)

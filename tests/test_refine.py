@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from torogram import (
     parse_diagram,
     validate,
 )
+from torogram import refine
 from torogram.admit import ADMISSIBLE, NOT_WEAKLY, check_admissible
+from torogram.braid import Letter, VirtualBraidWord, braid_to_sliceword
 from torogram.refine import (
     TypeIDelete,
     TypeIInsert,
@@ -32,9 +35,16 @@ from torogram.refine import (
     non_negative_refinement,
     positive_refinement,
 )
+from torogram.slices import extract_tdiagram
 
-from gen import random_dgd, random_tdiagram, scrambled_tdiagram, t_diagrams
-from oracles import brute_minimal_counts, integer_kernel_oracle, row_hnf, valuation_matrix
+from gen import random_dgd, random_tdiagram, scrambled_copy, scrambled_tdiagram, t_diagrams
+from oracles import (
+    brute_minimal_counts,
+    brute_nonnegative_counts,
+    integer_kernel_oracle,
+    row_hnf,
+    valuation_matrix,
+)
 
 MARKED_THREE = """\
 circle 2
@@ -358,3 +368,91 @@ def test_refinement_constructions_are_deterministic():
         assert minimal_refinement(g) == minimal_refinement(g)
         if check_admissible(g).verdict != NOT_WEAKLY:
             assert non_negative_refinement(g) == non_negative_refinement(g)
+
+
+def test_nonnegative_refinement_matches_brute_force():
+    rng = random.Random(24)
+    weakly = 0
+    for _ in range(300):
+        g = random_dgd(rng, max_arrows=4, val_range=2)
+        want = brute_nonnegative_counts(g)
+        if check_admissible(g).verdict == NOT_WEAKLY:
+            assert want is None
+            continue
+        assert _counts(non_negative_refinement(g)) == want
+        weakly += 1
+    assert weakly > 50
+
+
+def test_a_broken_core_answer_raises(monkeypatch):
+    base = parse_diagram(MARKED_THREE).base
+
+    def off_by_one(tg, counts, signs):
+        out = refine_core(tg, counts, signs)
+        out[0] += 1
+        return out
+
+    refine_core = refine._lex_least
+    monkeypatch.setattr(refine, "_lex_least", off_by_one)
+    with pytest.raises(RuntimeError, match="postcondition"):
+        non_negative_refinement(base)
+    with pytest.raises(RuntimeError, match="postcondition"):
+        minimal_refinement(base)
+
+
+def test_bump_coefficients_reject_a_change_of_valuations():
+    g = parse_diagram(MARKED_THREE).base
+    with pytest.raises(RuntimeError):
+        refine._bump_coefficients(g, [1, 0, 0, 0, 0, 0])
+
+
+# -- frozen outputs
+
+# sha256 of _refinement_texts() as computed by the exhaustive branch-and-bound
+# and the per-edge Bellman-Ford that the network-flow core replaced; any
+# change to a minimal, nonnegative or positive refinement shows here
+REFINEMENT_SHA256 = "e6d6b56b7113ba594d48cb227fed89a85ac5bc52f755ff4971ec9c967ac78290"
+
+
+def _braid_closure(rng, strands, letters, positive):
+    while True:
+        word = tuple(
+            Letter("s" if positive or rng.random() < 0.7 else "S", rng.randint(1, strands - 1))
+            for _ in range(letters)
+        )
+        try:
+            return extract_tdiagram(braid_to_sliceword(VirtualBraidWord(strands, word))).base
+        except InvalidDiagram:  # the closure is a link
+            continue
+
+
+def _refinement_texts() -> list[str]:
+    rng = random.Random(20261018)
+    diagrams = []
+    for n in range(9):
+        for _ in range(8):
+            g = random_dgd(rng, n=n)
+            diagrams += [g, scrambled_copy(g, rng)]
+    for strands in (2, 3, 4, 5):
+        for letters in (3, 7, 21, 61, 121):
+            if (letters - strands + 1) % 2:
+                letters += 1
+            for positive in (True, False):
+                g = _braid_closure(rng, strands, letters, positive)
+                diagrams += [g, scrambled_copy(g, rng)]
+    out = []
+    for g in diagrams:
+        verdict = check_admissible(g).verdict
+        if g.n <= 8:
+            out.append(canonical_serialize(minimal_refinement(g)))
+        if verdict != NOT_WEAKLY:
+            out.append(canonical_serialize(non_negative_refinement(g)))
+        if verdict == ADMISSIBLE:
+            out.append(canonical_serialize(positive_refinement(g)))
+    return out
+
+
+def test_refinements_are_byte_identical_to_the_frozen_corpus():
+    texts = _refinement_texts()
+    assert len(texts) == 366
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == REFINEMENT_SHA256
