@@ -186,7 +186,8 @@ def synthesize_braid(t: TDiagram) -> VirtualBraidWord:
             arrow = base.arrow_map[arrow_id]
             h, tl = base.positions[arrow_id]
             arc_h, arc_t = arc_of[h], arc_of[tl]
-            assert arc_h != arc_t, "a crossing cannot tie an arc to itself"
+            if arc_h == arc_t:
+                raise RuntimeError("a crossing cannot tie an arc to itself")
             left = arc_h if arrow.sign == 1 else arc_t
             right = arc_t if arrow.sign == 1 else arc_h
             c = slide_adjacent(left, right)

@@ -2,7 +2,8 @@
 
 Every subcommand reads files and follows one exit-code contract: 0 for
 success or an affirmative verdict, 1 for a well-formed negative verdict
-with its certificate on stdout, 2 for unreadable or out-of-domain input.
+with its certificate on stdout, 2 for unreadable or out-of-domain input,
+3 for an internal fault of the program itself.
 Output is plain text unless ``--json`` asks for the machine form; ``--out``
 redirects the payload into a file.  A directory instead of a file runs the
 command over every matching file inside, optionally across ``--parallel``
@@ -249,6 +250,12 @@ def _execute(ns) -> Result:
         return 1, msg, {"error": msg}
     except NotRealRealizable as e:
         return 1, e.reason, {"error": e.reason}
+    except Exception as e:  # a bug, never a verdict: exit 1 stays certified
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        msg = f"internal error: {type(e).__name__}: {e}"
+        return 3, "", {"error": msg, "kind": "internal"}
 
 
 def _worker(payload: dict) -> tuple[str, int, str, dict]:
@@ -260,14 +267,14 @@ def _worker(payload: dict) -> tuple[str, int, str, dict]:
 def _run_batch(ns, directory: Path) -> int:
     suffixes = _COMMANDS[ns.command][1]
     if suffixes is None:
-        _fail(ns, f"{ns.command} takes explicit files, not a directory")
+        _fail(ns, {"error": f"{ns.command} takes explicit files, not a directory"})
         return 2
     if ns.out:
-        _fail(ns, "--out does not combine with a directory input")
+        _fail(ns, {"error": "--out does not combine with a directory input"})
         return 2
     files = sorted(p for p in directory.iterdir() if p.suffix in suffixes)
     if not files:
-        _fail(ns, f"no {'/'.join(suffixes)} files in {directory}")
+        _fail(ns, {"error": f"no {'/'.join(suffixes)} files in {directory}"})
         return 2
     payloads = []
     for p in files:
@@ -292,17 +299,17 @@ def _run_batch(ns, directory: Path) -> int:
     return max(code for _, code, _, _ in results)
 
 
-def _fail(ns, message: str) -> None:
+def _fail(ns, data: dict) -> None:
     if ns.json:
-        sys.stdout.write(json.dumps({"error": message}) + "\n")
+        sys.stdout.write(json.dumps(data) + "\n")
     else:
-        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.write(f"error: {data['error']}\n")
 
 
 def _emit(ns, result: Result) -> int:
     code, text, data = result
-    if code == 2:
-        _fail(ns, data["error"])
+    if code >= 2:
+        _fail(ns, data)
         return code
     payload = json.dumps(data, indent=2) + "\n" if ns.json else text.rstrip("\n") + "\n"
     if ns.out:
@@ -332,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="PATH", help="write the payload to a file")
-    common.add_argument(
-        "--seed", type=int, metavar="N", help="reserved for randomized harness runs"
-    )
     common.add_argument(
         "--parallel",
         type=int,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .diagrams import (
     DecoratedGaussDiagram,
     TDiagram,
-    Token,
     canonical_serialize,
     is_full,
     require_valid,
@@ -34,10 +33,10 @@ from .slices import (
     RealCross,
     SliceWord,
     VirtualCross,
-    _require_valid,
-    _traverse,
+    _read,
+    _Reading,
+    _tdiagram,
     direction_levels,
-    extract_tdiagram,
 )
 
 Dart = tuple[int, int, int]
@@ -71,18 +70,14 @@ class _Web:
                     events.append(("mark", j))
         first = events.index(("mark", 0))
         rotated = events[first:] + events[:first]
-        arcs: list[list[int]] = []
-        cur: list[int] | None = None
-        for kind, v in rotated:
+        arcs: list[list[int]] = [[]]
+        for kind, v in rotated[1:]:
             if kind == "mark":
-                if cur is not None:
-                    arcs.append(cur)
-                cur = []
+                arcs.append([])
             else:
-                assert cur is not None
-                cur.append(v)
-        arcs.append(cur if cur is not None else [])
-        assert len(arcs) == k
+                arcs[-1].append(v)
+        if len(arcs) != k:
+            raise RuntimeError("the cut does not give one arc per marking")
         self.arcs = arcs
         self.segs = [len(a) + 1 for a in arcs]
 
@@ -157,23 +152,31 @@ def _faces(rotation: dict) -> list[tuple[Dart, ...]]:
     return faces
 
 
-def _components(web: _Web) -> list[list[int]]:
-    parent = list(range(web.k))
+def _classes(items, links) -> dict:
+    """Union-find: the class representative of every item once the linked
+    pairs are joined."""
+    parent = {x: x for x in items}
 
-    def find(x: int) -> int:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for arrow in web.base.arrows:
-        h, tl = web.base.positions[arrow.id]
-        ra, rb = find(web.at[h][0]), find(web.at[tl][0])
+    for a, b in links:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return {x: find(x) for x in parent}
+
+
+def _components(web: _Web) -> list[list[int]]:
+    """Groups of arcs that share crossings, each a tangle piece."""
+    positions = [web.base.positions[arrow.id] for arrow in web.base.arrows]
+    classes = _classes(range(web.k), ((web.at[h][0], web.at[tl][0]) for h, tl in positions))
     groups: dict[int, list[int]] = {}
-    for a in range(web.k):
-        groups.setdefault(find(a), []).append(a)
+    for a, root in classes.items():
+        groups.setdefault(root, []).append(a)
     return sorted(groups.values(), key=min)
 
 
@@ -248,7 +251,8 @@ def _order_components(web: _Web, comp_ends: list[tuple[list, list]]):
         remaining.discard(nxt)
     bottoms = [e for i in order for e in comp_ends[i][0]]
     tops = [e for i in order for e in comp_ends[i][1]]
-    assert len(bottoms) == web.k and len(tops) == web.k
+    if len(bottoms) != web.k or len(tops) != web.k:
+        raise RuntimeError("the pieces do not hold every loose end once")
     for b, tp in zip(bottoms, tops):
         if web.end_mate(*b) != tp:
             raise NotRealRealizable("cut points do not pair up column by column")
@@ -423,7 +427,8 @@ def _close_cup(web, wires, slices, placed) -> bool:
             continue  # a freshly capped pair has not met anything yet
         if _is_finished(web, w1) or _is_finished(web, w2):
             continue  # both halves already surfaced; nothing meets
-        assert w1.direction == -w2.direction, "cup halves run the same way"
+        if w1.direction != -w2.direction:
+            raise RuntimeError("cup halves run the same way")
         slices.append(Cup(i + 1))
         del wires[i : i + 2]
         return True
@@ -440,12 +445,14 @@ def _draw_crossing(web, wires, slices, placed) -> bool:
             continue
         da, db = w1.direction, w2.direction
         sign = da * db if w1.target in web.over else -da * db
-        assert sign == web.base.arrow_map[v[1]].sign, "drawn sign disagrees"
+        if sign != web.base.arrow_map[v[1]].sign:
+            raise RuntimeError("drawn sign disagrees")
         slices.append(RealCross(i + 1, sign))
         exit_r = web.succ[w2.target]
         exit_l = web.succ[exit_r]
         nl, nr = _push(web, exit_l), _push(web, exit_r)
-        assert (nl.direction, nr.direction) == (db, da), "strand flow broke"
+        if (nl.direction, nr.direction) != (db, da):
+            raise RuntimeError("strand flow broke")
         wires[i : i + 2] = [nl, nr]
         placed.add(v)
         return True
@@ -481,7 +488,8 @@ def _birth_hanging_arc(web, wires, slices, tops) -> bool:
         if web.end_is_bottom(arc, 0) or web.end_is_bottom(arc, 1):
             continue
         c0, c1 = tops.index((arc, 0)), tops.index((arc, 1))
-        assert abs(c0 - c1) == 1, "a hanging strand split at the top"
+        if abs(c0 - c1) != 1:
+            raise RuntimeError("a hanging strand split at the top")
         current = [tops.index((web.vertex_of[w.target][1], web.vertex_of[w.target][2]))
                    for w in wires]
         insert = sum(1 for c in current if c < min(c0, c1))
@@ -519,14 +527,18 @@ def to_sliceword(a: AnnularDiagram) -> SliceWord:
         ):
             break
     else:
-        raise AssertionError("the sweep did not settle")
-    assert len(placed) == web.base.n, "the sweep missed crossings"
-    assert len(wires) == k, "the sweep left stray strands"
+        raise RuntimeError("the sweep did not settle")
+    if len(placed) != web.base.n:
+        raise RuntimeError("the sweep missed crossings")
+    if len(wires) != k:
+        raise RuntimeError("the sweep left stray strands")
     bottom = tuple(web.signs[m] for m in a.column_markings)
     for c, w in enumerate(wires):
         v = web.vertex_of[w.target]
-        assert v[0] == "end" and (v[1], v[2]) == tops[c], "strands surfaced out of order"
-        assert w.direction == bottom[c], "a strand crossed the boundary backwards"
+        if v[0] != "end" or (v[1], v[2]) != tops[c]:
+            raise RuntimeError("strands surfaced out of order")
+        if w.direction != bottom[c]:
+            raise RuntimeError("a strand crossed the boundary backwards")
     return SliceWord(bottom, tuple(slices))
 
 
@@ -541,49 +553,32 @@ def whitney_index(g: DecoratedGaussDiagram) -> int:
             acc -= s.left_direction
         elif isinstance(s, Cup):
             acc -= levels[i][s.position - 1]
-    assert acc % 2 == 0, "turning half-units must pair up"
+    if acc % 2:
+        raise RuntimeError("turning half-units must pair up")
     return acc // 2
 
 
 # -- moving the section -------------------------------------------------------------
 
 
-def _passage_table(word: SliceWord, base: DecoratedGaussDiagram):
+def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram):
     """Where the drawn knot pierces each horizontal line, keyed by
-    (line, column): the diagram edge, the rank along that edge in knot
-    order, and the strand direction."""
-    _, _, trail = _traverse(word)
-    ids: dict[int, int] = {}
-    walk: list[Token] = []
-    for ev in trail:
-        if ev[0] == "cross":
-            if ev[1] not in ids:
-                ids[ev[1]] = len(ids) + 1
-            walk.append(Token("H" if ev[2] else "T", ids[ev[1]]))
-    m = len(walk)
-    shift = base._rotation
-    if tuple(walk[shift:] + walk[:shift]) != base.tokens:
-        raise InvalidDiagram("the drawing does not read back to the given diagram")
-    raw: list[tuple[int, int, int, int]] = []
-    pending: list[tuple[int, int, int]] = []
+    (line, column): the edge, the rank along that edge in knot order, and
+    the strand direction.  Edges are those of ``drawn``, the diagram read
+    off the same walk."""
+    m = 2 * len(reading.arrows)
+    trail = reading.trail
+    # from the first crossing on, the passages before it close the last edge
+    first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
+    table: dict[tuple[int, int], tuple[int, int, int]] = {}
+    counter: dict[int, int] = {}
     seen = 0
-    for ev in trail:
+    for ev in trail[first:] + trail[:first]:
         if ev[0] == "cross":
             seen += 1
             continue
         _, l, c, d = ev
-        if m == 0:
-            raw.append((0, l, c, d))
-        elif seen == 0:
-            pending.append((l, c, d))
-        else:
-            raw.append((seen - 1, l, c, d))
-    for l, c, d in pending:
-        raw.append((m - 1, l, c, d))
-    table: dict[tuple[int, int], tuple[int, int, int]] = {}
-    counter: dict[int, int] = {}
-    for we, l, c, d in raw:
-        e = (we - shift) % m if m else 0
+        e = (seen - 1 - drawn._rotation) % m if m else 0
         r = counter.get(e, 0)
         counter[e] = r + 1
         table[(l, c)] = (e, r, d)
@@ -591,49 +586,33 @@ def _passage_table(word: SliceWord, base: DecoratedGaussDiagram):
 
 
 def _region_classes(word: SliceWord, levels) -> dict[tuple[int, int], tuple[int, int]]:
-    """Union-find over the gaps (line, gap index) between strands; a gap is
-    one connected piece of the cut-open annulus minus the knot."""
+    """Classes of the gaps (line, gap index) between strands; a class is one
+    connected piece of the cut-open annulus minus the knot."""
     lc = max(len(word.slices), 1)
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def find(x):
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def links():
+        for i, s in enumerate(word.slices):
+            below = len(levels[i])
+            up = (i + 1) % lc
+            p = s.position
+            if isinstance(s, (RealCross, VirtualCross)):
+                for j in range(below + 1):
+                    if j != p:  # the crossing pinches the gap between its strands
+                        yield (i, j), (up, j)
+            elif isinstance(s, Cap):
+                for j in range(below + 1):
+                    yield (i, j), (up, j if j < p else j + 2)
+                yield (i, p - 1), (up, p + 1)  # around the new tip; gap p is fresh
+            else:
+                for j in range(below + 1):
+                    if j < p:
+                        yield (i, j), (up, j)
+                    elif j >= p + 1:
+                        yield (i, j), (up, j - 2)
+                    # the gap between the dying strands stops here
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for l in range(lc):
-        for j in range(len(levels[l]) + 1):
-            find((l, j))
-    for i, s in enumerate(word.slices):
-        below = len(levels[i])
-        up = (i + 1) % lc
-        p = s.position
-        if isinstance(s, (RealCross, VirtualCross)):
-            for j in range(below + 1):
-                if j != p:  # the crossing pinches the gap between its strands
-                    union((i, j), (up, j))
-        elif isinstance(s, Cap):
-            for j in range(below + 1):
-                union((i, j), (up, j if j < p else j + 2))
-            union((i, p - 1), (up, p + 1))  # around the new tip; gap p is fresh
-            find((up, p))
-        else:
-            for j in range(below + 1):
-                if j < p:
-                    union((i, j), (up, j))
-                elif j >= p + 1:
-                    union((i, j), (up, j - 2))
-                # the gap between the dying strands stops here
-    return {x: find(x) for x in list(parent)}
+    gaps = [(l, j) for l in range(lc) for j in range(len(levels[l]) + 1)]
+    return _classes(gaps, links())
 
 
 def find_section(word: SliceWord, t: TDiagram):
@@ -641,18 +620,18 @@ def find_section(word: SliceWord, t: TDiagram):
     markings kept from ``t``: returns the surviving refinement and the
     crossing sequence (edge, index within the kept edge list, sign) read
     from the left boundary to the right one."""
-    _require_valid(word)
+    reading = _read(word)
     if any(isinstance(s, VirtualCross) for s in word.slices):
         raise InvalidDiagram("the drawing must be real: no virtual crossings")
-    drawn = extract_tdiagram(word)
+    drawn = _tdiagram(word, reading)
     if not is_full(drawn.base):
         raise NotFull("the drawn knot has zero decorations; no section separates it")
     require_valid(t)
     if canonical_serialize(t.base) != canonical_serialize(drawn.base):
         raise InvalidDiagram("the markings refine a different diagram")
 
-    levels = direction_levels(word)
-    table = _passage_table(word, drawn.base)
+    levels = reading.levels
+    table = _passage_table(reading, drawn.base)
     region = _region_classes(word, levels)
     adj: dict[tuple[int, int], list] = {}
     for (l, c), (e, r, d) in sorted(table.items()):
@@ -665,7 +644,8 @@ def find_section(word: SliceWord, t: TDiagram):
         moves.sort()
     start = region[(0, 0)]
     goal = region[(0, len(levels[0]))]
-    assert start != goal, "a full knot must separate the boundaries"
+    if start == goal:
+        raise RuntimeError("a full knot must separate the boundaries")
 
     def match(path):
         """Embed the path's crossings into t's markings, per edge, in knot
@@ -702,7 +682,7 @@ def find_section(word: SliceWord, t: TDiagram):
                 for e in range(t.base.edge_count)
             )
             return TDiagram(t.base, marks), tuple(seq)
-    raise AssertionError("no transverse path found; the drawing should admit one")
+    raise RuntimeError("no transverse path found; the drawing should admit one")
 
 
 def _bounded_search(adj, start, goal, depth, match):

@@ -10,6 +10,7 @@ realizing any given T-diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
 from .errors import InvalidDiagram, ParseError
@@ -118,82 +119,111 @@ def _apply_slice(dirs: list[int], s: Slice) -> str | None:
     return None
 
 
-def direction_levels(word: SliceWord) -> list[tuple[int, ...]]:
-    """Strand directions at every gap, bottom boundary first; raises on
-    illegal levels."""
+def _levels(word: SliceWord) -> tuple[list[tuple[int, ...]], str | None]:
+    """Strand directions at every gap up to the first illegal level, bottom
+    boundary first, and that level's problem or None."""
     dirs = list(word.bottom)
     out = [tuple(dirs)]
     for i, s in enumerate(word.slices):
         problem = _apply_slice(dirs, s)
         if problem is not None:
-            raise InvalidDiagram(f"level {i + 1}: {problem}")
+            return out, f"level {i + 1}: {problem}"
         out.append(tuple(dirs))
-    return out
+    return out, None
+
+
+def direction_levels(word: SliceWord) -> list[tuple[int, ...]]:
+    """Strand directions at every gap, bottom boundary first; raises on
+    illegal levels."""
+    levels, problem = _levels(word)
+    if problem is not None:
+        raise InvalidDiagram(problem)
+    return levels
+
+
+def _step(word: SliceWord, levels, g: int, c: int, d: int):
+    """The passage after (g, c, d), and the real crossing met on the way as
+    (level, over) or None.
+
+    A passage is the strand at column c of gap g, walked up (d = 1) or down
+    (d = -1) along its own direction.  Gaps count modulo the number of
+    levels, so gap 0 is the glued boundary and a walk crosses it like any
+    other gap.  The level crossed is g going up and g - 1 going down; the
+    slice that opens two strands ahead is a cap going up and a cup going
+    down, and the other kind turns the strand back in the same gap.
+    """
+    m = len(word.slices)
+    if not m:  # every strand runs once round the annulus and closes on itself
+        return (g, c, d), None
+    i = g if d == 1 else (g - 1) % m
+    s = word.slices[i]
+    p = s.position
+    ahead = (g + d) % m
+    if c < p:
+        return (ahead, c, d), None
+    if isinstance(s, (RealCross, VirtualCross)):
+        if c > p + 1:
+            return (ahead, c, d), None
+        other = 2 * p + 1 - c
+        if isinstance(s, VirtualCross):
+            return (ahead, other, d), None
+        rising_left_over = s.sign == levels[i][p - 1] * levels[i][p]
+        # the strand rose from column p when it sits there below the level
+        return (ahead, other, d), (i, rising_left_over == ((c if d == 1 else other) == p))
+    if isinstance(s, Cap if d == 1 else Cup):
+        return (ahead, c + 2, d), None
+    if c <= p + 1:
+        return (g, 2 * p + 1 - c, -d), None
+    return (ahead, c - 2, d), None
+
+
+def _walk(word: SliceWord, levels, start: tuple[int, int, int], seen: set) -> list[tuple]:
+    """The closed curve through passage ``start``, once round, as a trail of
+    ("line", gap, column, direction) per passage and ("cross", level, over)
+    per real crossing, in curve order; its passages join ``seen``."""
+    trail: list[tuple] = []
+    state = start
+    while state not in seen:
+        seen.add(state)
+        trail.append(("line", *state))
+        state, hit = _step(word, levels, *state)
+        if hit is not None:
+            trail.append(("cross", *hit))
+    return trail
+
+
+def _survey(word: SliceWord):
+    """(report, levels, curves): the validation report, the direction levels
+    read, and the trail of every closed curve once the levels close up.
+    Curves are the orbits of :func:`_step` over all passages, found from the
+    lowest gap and leftmost column up; the first starts at the bottom of
+    column 1, or on the left branch of the first cap when the boundary is
+    empty."""
+    levels, problem = _levels(word)
+    if problem is not None:
+        return SliceReport(False, (problem,)), levels, []
+    if levels[-1] != word.bottom:
+        problem = (
+            f"top boundary {_dir_text(levels[-1])!r} does not close up with "
+            f"bottom {_dir_text(word.bottom)!r}"
+        )
+        return SliceReport(False, (problem,)), levels, []
+    seen: set[tuple[int, int, int]] = set()
+    curves = []
+    for g in range(max(len(word.slices), 1)):  # the top gap is gap 0
+        for c, d in enumerate(levels[g], start=1):
+            if (g, c, d) not in seen:
+                curves.append(_walk(word, levels, (g, c, d), seen))
+    if len(curves) == 1:
+        return SliceReport(True, ()), levels, curves
+    problem = (
+        f"{len(curves)} closed curves, need exactly one" if curves else "the word draws nothing"
+    )
+    return SliceReport(False, (problem,)), levels, curves
 
 
 def validate_sliceword(word: SliceWord) -> SliceReport:
-    problems: list[str] = []
-    dirs = list(word.bottom)
-    levels = [tuple(dirs)]
-    for i, s in enumerate(word.slices):
-        problem = _apply_slice(dirs, s)
-        if problem is not None:
-            problems.append(f"level {i + 1}: {problem}")
-            return SliceReport(False, tuple(problems))
-        levels.append(tuple(dirs))
-    if tuple(dirs) != word.bottom:
-        problems.append(
-            f"top boundary {_dir_text(tuple(dirs))!r} does not close up with "
-            f"bottom {_dir_text(word.bottom)!r}"
-        )
-        return SliceReport(False, tuple(problems))
-
-    # component count of the closed-up curve
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for g in range(len(levels)):
-        for c in range(1, len(levels[g]) + 1):
-            parent.setdefault((g, c), (g, c))
-    for i, s in enumerate(word.slices):
-        below, above = i, i + 1
-        p = s.position
-        width = len(levels[below])
-        if isinstance(s, (RealCross, VirtualCross)):
-            for c in range(1, width + 1):
-                target = p + 1 if c == p else p if c == p + 1 else c
-                union((below, c), (above, target))
-        elif isinstance(s, Cap):
-            union((above, p), (above, p + 1))
-            for c in range(1, width + 1):
-                union((below, c), (above, c if c < p else c + 2))
-        else:
-            union((below, p), (below, p + 1))
-            for c in range(1, width + 1):
-                if c in (p, p + 1):
-                    continue
-                union((below, c), (above, c if c < p else c - 2))
-    top = len(word.slices)
-    for c in range(1, len(word.bottom) + 1):
-        union((top, c), (0, c))
-    roots = {find(x) for x in parent}
-    if len(roots) != 1:
-        problems.append(
-            "the word draws nothing" if not roots else f"{len(roots)} closed curves, need exactly one"
-        )
-    return SliceReport(not problems, tuple(problems))
+    return _survey(word)[0]
 
 
 # -- text format -----------------------------------------------------------------
@@ -280,140 +310,38 @@ def parse_sliceword(text: str) -> SliceWord:
 # -- extraction -------------------------------------------------------------------
 
 
-def _traverse(word: SliceWord):
-    """Walk the closed curve once; returns (events, levels, trail).
+class _Reading(NamedTuple):
+    """A valid word read once: its direction levels, the trail of its curve
+    (see :func:`_walk`), and the arrow id of every real crossing's level,
+    numbered by first visit."""
 
-    Events are ("mark", sign) at boundary passages and
-    ("cross", level_index, over) at real crossings, in curve order.  The walk
-    starts at the bottom of column 1, or on the left branch of the first cap
-    when the boundary is empty.  The trail interleaves ("cross", ...) entries
-    with one ("line", line, column, direction) entry per passage through a
-    horizontal boundary line, lines numbered 0..len(slices)-1 with the glued
-    boundary as line 0.
-    """
-    levels = direction_levels(word)
-    slices = word.slices
-    m = len(slices)
-    trail: list[tuple] = []
-
-    def record(g: int, c: int, d: int) -> None:
-        trail.append(("line", 0 if g == m else g, c, d))
-
-    if word.bottom:
-        if word.bottom[0] == 1:
-            start = (0, 1, 1)
-        else:
-            start = (m, 1, -1)
-        events: list[tuple] = [("mark", word.bottom[0])]
-        record(*start)
-    else:
-        start = None
-        for i, s in enumerate(slices):
-            if isinstance(s, Cap):
-                start = (i + 1, s.position, s.left_direction)
-                break
-        if start is None:
-            raise InvalidDiagram("the word draws nothing")
-        events = []
-        record(*start)
-
-    state = start
-    limit = 4 * sum(len(lv) for lv in levels) + 4
-    for _ in range(limit):
-        g, c, d = state
-        if d == 1:
-            if g == m:
-                nxt = (0, c, 1)
-                if nxt == start:
-                    return events, levels, trail
-                events.append(("mark", 1))
-                record(*nxt)
-                state = nxt
-                continue
-            s = slices[g]
-            p = s.position
-            if isinstance(s, (RealCross, VirtualCross)):
-                if c == p or c == p + 1:
-                    if isinstance(s, RealCross):
-                        da, db = levels[g][p - 1], levels[g][p]
-                        rising_left_over = s.sign == da * db
-                        over = rising_left_over if c == p else not rising_left_over
-                        events.append(("cross", g, over))
-                        trail.append(("cross", g, over))
-                    nxt = (g + 1, p + 1 if c == p else p, 1)
-                else:
-                    nxt = (g + 1, c, 1)
-            elif isinstance(s, Cap):
-                nxt = (g + 1, c if c < p else c + 2, 1)
-            else:
-                if c == p or c == p + 1:
-                    nxt = (g, p + 1 if c == p else p, -1)
-                else:
-                    nxt = (g + 1, c if c < p else c - 2, 1)
-        else:
-            if g == 0:
-                nxt = (m, c, -1)
-                if nxt == start:
-                    return events, levels, trail
-                events.append(("mark", -1))
-                record(*nxt)
-                state = nxt
-                continue
-            s = slices[g - 1]
-            p = s.position
-            if isinstance(s, (RealCross, VirtualCross)):
-                if c == p or c == p + 1:
-                    if isinstance(s, RealCross):
-                        da, db = levels[g - 1][p - 1], levels[g - 1][p]
-                        rising_left_over = s.sign == da * db
-                        over = not rising_left_over if c == p else rising_left_over
-                        events.append(("cross", g - 1, over))
-                        trail.append(("cross", g - 1, over))
-                    nxt = (g - 1, p + 1 if c == p else p, -1)
-                else:
-                    nxt = (g - 1, c, -1)
-            elif isinstance(s, Cup):
-                nxt = (g - 1, c if c < p else c + 2, -1)
-            else:
-                if c == p or c == p + 1:
-                    nxt = (g, p + 1 if c == p else p, 1)
-                else:
-                    nxt = (g - 1, c if c < p else c - 2, -1)
-        if nxt == start:
-            return events, levels, trail
-        # a state about to bounce off the glued boundary is the same passage
-        # as its successor, so only the post-bounce state is recorded
-        if not ((nxt[0] == m and nxt[2] == 1) or (nxt[0] == 0 and nxt[2] == -1)):
-            record(*nxt)
-        state = nxt
-    raise InvalidDiagram("the walk never closes up; is the word valid?")
+    levels: list[tuple[int, ...]]
+    trail: list[tuple]
+    arrows: dict[int, int]
 
 
-def _require_valid(word: SliceWord) -> None:
-    report = validate_sliceword(word)
+def _read(word: SliceWord) -> _Reading:
+    """Validate the word and walk its curve; raises on invalid words."""
+    report, levels, curves = _survey(word)
     if not report.ok:
         raise InvalidDiagram("; ".join(report.problems))
+    arrows: dict[int, int] = {}
+    for ev in curves[0]:
+        if ev[0] == "cross":
+            arrows.setdefault(ev[1], len(arrows) + 1)
+    return _Reading(levels, curves[0], arrows)
 
 
-def extract_tdiagram(word: SliceWord) -> TDiagram:
-    """The T-diagram of the closed-up curve: crossings become arrows (numbered
-    by first visit, overpass first letter H), boundary passages become
-    markings on the edges between them."""
-    _require_valid(word)
-    events, _, _ = _traverse(word)
-    ids: dict[int, int] = {}
+def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
     tokens: list[Token] = []
     edge_marks: list[list[int]] = []
     leading: list[int] = []
-    for ev in events:
-        if ev[0] == "mark":
-            (edge_marks[-1] if tokens else leading).append(ev[1])
-            continue
-        _, level, over = ev
-        if level not in ids:
-            ids[level] = len(ids) + 1
-        tokens.append(Token("H" if over else "T", ids[level]))
-        edge_marks.append([])
+    for ev in reading.trail:
+        if ev[0] == "cross":
+            tokens.append(Token("H" if ev[2] else "T", reading.arrows[ev[1]]))
+            edge_marks.append([])
+        elif ev[1] == 0:  # a passage through the glued boundary
+            (edge_marks[-1] if tokens else leading).append(ev[3])
     if tokens:
         edge_marks[-1].extend(leading)
     else:
@@ -424,7 +352,7 @@ def extract_tdiagram(word: SliceWord) -> TDiagram:
         positions.setdefault(tok.arrow, []).append(pos)
     arrows = []
     npos = len(tokens)
-    for level, k in sorted(ids.items(), key=lambda kv: kv[1]):
+    for level, k in reading.arrows.items():
         first, second = positions[k]
         h = first if tokens[first].kind == "H" else second
         t = second if h == first else first
@@ -441,15 +369,17 @@ def extract_tdiagram(word: SliceWord) -> TDiagram:
     )
 
 
+def extract_tdiagram(word: SliceWord) -> TDiagram:
+    """The T-diagram of the closed-up curve: crossings become arrows (numbered
+    by first visit, overpass first letter H), boundary passages become
+    markings on the edges between them."""
+    return _tdiagram(word, _read(word))
+
+
 def crossing_records(word: SliceWord) -> tuple[tuple[int, int, int, int], ...]:
     """(level, column, sign, arrow id) per real crossing, in word order; the
     arrow ids match :func:`extract_tdiagram`."""
-    _require_valid(word)
-    events, _, _ = _traverse(word)
-    ids: dict[int, int] = {}
-    for ev in events:
-        if ev[0] == "cross" and ev[1] not in ids:
-            ids[ev[1]] = len(ids) + 1
+    ids = _read(word).arrows
     return tuple(
         (i + 1, s.position, s.sign, ids[i])
         for i, s in enumerate(word.slices)
@@ -584,7 +514,8 @@ def represent_tdiagram(t: TDiagram) -> SliceWord:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 letters.append(VirtualCross(i + 1))
                 swapped = True
-    assert order == sorted(order) == list(range(1, k + 1))
+    if order != list(range(1, k + 1)):
+        raise RuntimeError("parked strands do not surface in lane order")
     return SliceWord(tuple(lane_signs), tuple(letters))
 
 

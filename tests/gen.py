@@ -266,3 +266,58 @@ def random_real_sliceword(
         if not is_full(t.base):
             continue
         return word
+
+
+def random_closed_sliceword(rng: random.Random, max_strands: int = 6, max_front: int = 8):
+    """A random slice word whose levels are legal and whose top closes up with
+    its bottom, drawing any number of closed curves, none included.
+
+    A legal front half of real and virtual crossings, caps and cups is undone
+    in reverse with fresh crossings, so the directions close up; a random
+    cyclic rotation then moves the seam.
+    """
+    from torogram.slices import Cap, Cup, RealCross, SliceWord, VirtualCross, direction_levels
+
+    def crossing(p: int):
+        return RealCross(p, rng.choice((1, -1))) if rng.random() < 0.7 else VirtualCross(p)
+
+    dirs = [rng.choice((1, -1)) for _ in range(rng.randint(0, 3))]
+    bottom = tuple(dirs)
+    front: list[tuple[object, int | None]] = []
+    for _ in range(rng.randint(0, max_front)):
+        cups = [i + 1 for i in range(len(dirs) - 1) if dirs[i] == -dirs[i + 1]]
+        moves = []
+        if len(dirs) + 2 <= max_strands:
+            moves.append("cap")
+        if len(dirs) >= 2:
+            moves += ["cross", "cross"]
+        if cups:
+            moves.append("cup")
+        if not moves:
+            break
+        mv = rng.choice(moves)
+        if mv == "cap":
+            p, d = rng.randint(1, len(dirs) + 1), rng.choice((1, -1))
+            front.append((Cap(p, d), None))
+            dirs[p - 1 : p - 1] = [d, -d]
+        elif mv == "cross":
+            p = rng.randint(1, len(dirs) - 1)
+            front.append((crossing(p), None))
+            dirs[p - 1], dirs[p] = dirs[p], dirs[p - 1]
+        else:
+            p = rng.choice(cups)
+            front.append((Cup(p), dirs[p - 1]))
+            del dirs[p - 1 : p + 1]
+    slices = [s for s, _ in front]
+    for s, dl in reversed(front):
+        if isinstance(s, Cap):
+            slices.append(Cup(s.position))
+        elif isinstance(s, Cup):
+            slices.append(Cap(s.position, dl))
+        else:
+            slices.append(crossing(s.position))
+    word = SliceWord(bottom, tuple(slices))
+    if not slices:
+        return word
+    r = rng.randrange(len(slices))
+    return SliceWord(direction_levels(word)[r], tuple(slices[r:] + slices[:r]))

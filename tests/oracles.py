@@ -283,3 +283,42 @@ def turning_number(word) -> int:
     turns = total / (2 * math.pi)
     assert abs(turns - round(turns)) < 1e-6, "turning did not come out whole"
     return round(turns)
+
+
+def brute_curve_count(word) -> int:
+    """Closed curves drawn by a slice word whose levels are legal and close up.
+
+    Union-find over the strand pieces (gap, column): pieces meet through every
+    level, a cap joins its two new pieces, a cup its two dying ones, and the
+    top gap is glued to the bottom column by column.
+    """
+    from torogram.slices import Cap, Cup, direction_levels
+
+    levels = direction_levels(word)
+    parent = {(g, c): (g, c) for g, lv in enumerate(levels) for c in range(1, len(lv) + 1)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for i, s in enumerate(word.slices):
+        p = s.position
+        for c in range(1, len(levels[i]) + 1):
+            if isinstance(s, Cap):
+                union((i, c), (i + 1, c if c < p else c + 2))
+            elif isinstance(s, Cup):
+                if c < p or c > p + 1:
+                    union((i, c), (i + 1, c if c < p else c - 2))
+            else:
+                union((i, c), (i + 1, p + 1 if c == p else p if c == p + 1 else c))
+        if isinstance(s, Cap):
+            union((i + 1, p), (i + 1, p + 1))
+        elif isinstance(s, Cup):
+            union((i, p), (i, p + 1))
+    for c in range(1, len(word.bottom) + 1):
+        union((len(word.slices), c), (0, c))
+    return len({find(x) for x in parent})

@@ -1,6 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import torogram.cli
 
 from torogram import (
     canonical_serialize,
@@ -259,9 +263,57 @@ def test_render_writes_an_svg(capsys, trefoil, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-def test_seed_flag_is_accepted(capsys, trefoil):
-    code, out, _ = run(capsys, "whitney", trefoil, "--seed", "7")
-    assert (code, out.strip()) == (0, "0")
+def test_seed_flag_is_an_unknown_argument(capsys, trefoil):
+    code, _, err = run(capsys, "whitney", trefoil, "--seed", "7")
+    assert code == 2
+    assert "unrecognized arguments: --seed 7" in err
+
+
+def _break_nonneg_on_three_arrows(monkeypatch):
+    """A nonnegative refiner that fails its own postcondition on the trefoil."""
+    refiner = torogram.cli._REFINERS["nonneg"]
+
+    def broken(g):
+        if g.n == 3:
+            raise RuntimeError("refinement core broke its postcondition")
+        return refiner(g)
+
+    monkeypatch.setitem(torogram.cli._REFINERS, "nonneg", broken)
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch, trefoil):
+    _break_nonneg_on_three_arrows(monkeypatch)
+    code, out, err = run(capsys, "refine", trefoil, "--mode", "nonneg")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback")
+    assert err.endswith("\nerror: internal error: RuntimeError: refinement core broke its postcondition\n")
+    code, out, _ = run(capsys, "refine", trefoil, "--mode", "nonneg", "--json")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "internal error: RuntimeError: refinement core broke its postcondition",
+        "kind": "internal",
+    }
+
+
+def test_internal_fault_keeps_a_batch_going(capsys, monkeypatch, tmp_path):
+    _break_nonneg_on_three_arrows(monkeypatch)
+    (tmp_path / "a-trefoil.gd").write_text(TREFOIL)
+    (tmp_path / "b-val0.gd").write_text(ONE_ARROW_VAL0)
+    code, out, _ = run(capsys, "refine", str(tmp_path), "--mode", "nonneg", "--json")
+    assert code == 3
+    rows = json.loads(out)
+    assert [r["exit"] for r in rows] == [3, 0]
+    assert rows[0]["result"]["kind"] == "internal"
+    assert parse_diagram(rows[1]["result"]["diagram"]).n == 1
+
+
+def test_no_assert_guards_the_program():
+    # python -O strips assert statements; every check must be a real raise
+    src = Path(torogram.cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name} asserts at lines {found}"
 
 
 def test_batch_directory_reports_every_file(capsys, tmp_path):

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from torogram import canonical_serialize, find_refinement, parse_diagram, validate
-from torogram.errors import InvalidDiagram, ParseError
+from torogram.braid import braid_to_sliceword
+from torogram.diagrams import TDiagram
+from torogram.errors import InvalidDiagram, NotRealRealizable, ParseError
+from torogram.rebuild import find_section, reconstruct, to_sliceword
 from torogram.slices import (
     Cap,
     Cup,
@@ -21,7 +26,15 @@ from torogram.slices import (
     validate_sliceword,
 )
 
-from gen import random_dgd, random_tdiagram, t_diagrams
+from gen import (
+    random_braid_word,
+    random_closed_sliceword,
+    random_dgd,
+    random_real_sliceword,
+    random_tdiagram,
+    t_diagrams,
+)
+from oracles import brute_curve_count
 
 MARKED_THREE = """\
 circle 2
@@ -154,6 +167,22 @@ def test_report_json():
     assert validate_sliceword(BARE_CIRCLE).to_json() == {"ok": True, "problems": []}
 
 
+def test_curve_count_matches_the_union_find_oracle():
+    rng = random.Random(41)
+    seen = {0: 0, 1: 0, 2: 0}
+    for _ in range(3000):
+        word = random_closed_sliceword(rng)
+        curves = brute_curve_count(word)
+        report = validate_sliceword(word)
+        seen[min(curves, 2)] += 1
+        assert report.ok == (curves == 1)
+        if curves == 0:
+            assert report.problems == ("the word draws nothing",)
+        elif curves > 1:
+            assert report.problems == (f"{curves} closed curves, need exactly one",)
+    assert min(seen.values()) > 50  # empty, single and multi-curve words all occur
+
+
 # -- representation
 
 
@@ -210,3 +239,81 @@ def test_extraction_is_deterministic():
         word = represent_tdiagram(t)
         assert extract_tdiagram(word) == extract_tdiagram(word)
         assert represent_tdiagram(t) == word
+
+
+# -- frozen outputs
+
+# sha256 of _reading_texts() as computed by the separate upward and downward
+# walks and the union-find curve count that one two-way step replaced; any
+# change to extraction, crossing records, validation reports, sections or
+# rebuilt drawings shows here
+READING_SHA256 = "5cdc44c42f297d49497523d33d689e68b668b33516880ddcffb2de54f75e1bf7"
+
+
+def _random_word(rng):
+    """Any word at all, mostly invalid: out-of-range levels, open ends, bad cups."""
+    slices = []
+    for _ in range(rng.randint(0, 6)):
+        kind, p = rng.randrange(4), rng.randint(1, 4)
+        sign = rng.choice((1, -1))
+        slices.append((RealCross(p, sign), VirtualCross(p), Cap(p, sign), Cup(p))[kind])
+    return SliceWord(tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 3))), tuple(slices))
+
+
+def _section_texts(word, t):
+    kept, seq = find_section(word, t)
+    return [canonical_serialize(kept), repr(seq)]
+
+
+def _reading_texts() -> list[str]:
+    rng = random.Random(20261019)
+    drawings = [random_real_sliceword(rng, max_crossings=8) for _ in range(60)]
+    words = list(drawings)
+    words += [represent_tdiagram(random_tdiagram(rng, max_arrows=5)) for _ in range(60)]
+    while len(words) < 160:
+        try:
+            word = braid_to_sliceword(random_braid_word(rng))
+            extract_tdiagram(word)
+        except InvalidDiagram:  # the closure is a link
+            continue
+        words.append(word)
+    out = []
+    for word in words:
+        out.append(serialize_sliceword(word))
+        out.append(canonical_serialize(extract_tdiagram(word)))
+        out.append(repr(crossing_records(word)))
+    checked = words + [random_closed_sliceword(rng) for _ in range(300)]
+    checked += [_random_word(rng) for _ in range(300)]
+    checked += [
+        SliceWord((1, 1), ()),
+        SliceWord((), ()),
+        SliceWord((1, -1), (VirtualCross(1),)),
+        SliceWord((1, 1), (Cup(1),)),
+        SliceWord((1, -1), (RealCross(2, 1),)),
+    ]
+    for word in checked:
+        report = validate_sliceword(word)
+        out.append(serialize_sliceword(word) + json.dumps(report.to_json()))
+        if not report.ok:
+            with pytest.raises(InvalidDiagram) as exc:
+                extract_tdiagram(word)
+            out.append(str(exc.value))
+    for word in drawings:
+        t = extract_tdiagram(word)
+        out += _section_texts(word, t)
+        padded = list(t.markings)
+        padded[-1] = padded[-1] + (-1, 1)
+        out += _section_texts(word, TDiagram(t.base, tuple(padded)))
+        try:
+            redrawn = to_sliceword(reconstruct(t.base))
+        except NotRealRealizable as e:
+            out.append(e.reason)
+            continue
+        out.append(serialize_sliceword(redrawn))
+        out += _section_texts(redrawn, extract_tdiagram(redrawn))
+    return out
+
+
+def test_readings_are_byte_identical_to_the_frozen_corpus():
+    texts = _reading_texts()
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == READING_SHA256
