@@ -192,53 +192,49 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
 def level_decomposition(t: TDiagram, require_positive: bool = True) -> dict[int, int]:
     """Assign each arrow the round in which it peels off between markings.
 
-    An arrow peels once both of its endpoints have at least one marking in
-    the merged gap behind them (markings of removed arrows' edges merge into
-    the surviving gaps).  Returns ``{arrow id: level}`` starting at 1, or
-    raises :class:`NoLevels` carrying a marking-free loop of homology class 0
-    that witnesses the blockage.
+    An arrow peels once both of its endpoints are anchored: at least one
+    marking lies in the merged gap behind them (markings of removed arrows'
+    edges merge into the surviving gaps).  Returns ``{arrow id: level}``
+    starting at 1, ascending ids within a level, or raises :class:`NoLevels`
+    carrying a marking-free loop of homology class 0 that witnesses the
+    blockage.  O(m): the live tokens form a doubly linked ring, and since
+    every peeled token was anchored, a round can only anchor the survivor
+    right after a peeled block, so only that survivor's arrow can get ready.
     """
     if require_positive and not t.is_positive:
         raise NotPositive("level decomposition needs a positive marking set")
     g = t.base
-    n = g.n
-    if n == 0:
-        return {}
-    m = 2 * n
-    has_marks = [bool(t.markings[e]) for e in range(m)]
-    alive = [True] * m
+    m = 2 * g.n
+    anchored = [bool(t.markings[p - 1]) for p in range(m)]
+    nxt = [(p + 1) % m for p in range(m)]
+    prv = [(p - 1) % m for p in range(m)]
     levels: dict[int, int] = {}
-    remaining = set(g.arrow_map)
+    ready = {k for k, (h, tl) in g.positions.items() if anchored[h] and anchored[tl]}
     level = 0
-    while remaining:
+    while ready:
         level += 1
-        alive_pos = [i for i in range(m) if alive[i]]
-        anchored: dict[int, bool] = {}
-        for idx, p in enumerate(alive_pos):
-            e = alive_pos[idx - 1]  # previous alive token, cyclically
-            found = False
-            while e != p:
-                if has_marks[e]:
-                    found = True
-                    break
-                e = (e + 1) % m
-            anchored[p] = found
-        peeled = [
-            k for k in sorted(remaining)
-            if anchored[g.positions[k][0]] and anchored[g.positions[k][1]]
-        ]
-        if not peeled:
-            raise NoLevels(_stuck_certificate(g, alive_pos, anchored))
-        for k in peeled:
+        followers = []
+        for k in sorted(ready):
             levels[k] = level
-            remaining.discard(k)
-            h, tl = g.positions[k]
-            alive[h] = alive[tl] = False
+            for p in g.positions[k]:  # unlink p from the ring
+                nxt[prv[p]], prv[nxt[p]] = nxt[p], prv[p]
+                followers.append(nxt[p])
+        ready = set()
+        for p in followers:
+            k = g.tokens[p].arrow
+            if k not in levels and not anchored[p]:
+                anchored[p] = True
+                h, tl = g.positions[k]
+                if anchored[h] and anchored[tl]:
+                    ready.add(k)
+    if len(levels) < g.n:
+        alive_pos = [p for p in range(m) if g.tokens[p].arrow not in levels]
+        raise NoLevels(_stuck_certificate(g, alive_pos, anchored))
     return levels
 
 
 def _stuck_certificate(
-    g: DecoratedGaussDiagram, alive_pos: list[int], anchored: dict[int, bool]
+    g: DecoratedGaussDiagram, alive_pos: list[int], anchored: list[bool]
 ) -> DiagramLoop:
     """A class-0 loop avoiding every marking, built from the blocked round.
 

@@ -67,7 +67,10 @@ Result = tuple[int, str, dict]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not text: {e.reason}") from None
 
 
 def _load(path: str):

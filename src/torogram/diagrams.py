@@ -42,39 +42,56 @@ class Arrow:
             raise InvalidDiagram(f"arrow sign must be +1 or -1, got {self.sign}")
 
 
-def _rotation_key(tokens: tuple[Token, ...], arrows: dict[int, Arrow], shift: int):
-    """Comparison key of one rotation, insensitive to arrow relabeling."""
-    m = len(tokens)
-    relabel: dict[int, int] = {}
-    codes = []
-    for i in range(m):
-        tok = tokens[(i + shift) % m]
-        fresh = relabel.setdefault(tok.arrow, len(relabel) + 1)
-        codes.append((0 if tok.kind == "H" else 1, fresh))
-    by_first_seen = sorted(relabel, key=relabel.__getitem__)
-    signs = tuple(arrows[a].sign for a in by_first_seen)
-    vals = tuple(arrows[a].valuation for a in by_first_seen)
-    return (tuple(codes), signs, vals)
-
-
 def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tuple[int, ...]:
     """Ascending rotations of ``tokens`` tying for the least rotation key.
 
-    A least key starts ``(H, 1)``, so only rotations starting at an H compete.
+    A rotation's key numbers arrows by first appearance, so at depth i a
+    token reads as its kind and its distance d back to its partner: a partner
+    already read (d <= i) gave a smaller number the further back it lies, a
+    fresh arrow takes the next one.  All candidates advance one token at a
+    time and only those with the least symbol stay; signs, then valuations,
+    in first-seen order break what is left.  A word invariant under a shift
+    by its least period p ties in steps of p, so only rotations below p
+    compete.  O(m) unless many candidates agree for long.
     """
-    if not tokens:
+    m = len(tokens)
+    if not m:
         return (0,)
-    best_key = None
-    ties: list[int] = []
-    for r, tok in enumerate(tokens):
-        if tok.kind != "H":
-            continue
-        key = _rotation_key(tokens, arrows, r)
-        if best_key is None or key < best_key:
-            best_key, ties = key, [r]
-        elif key == best_key:
-            ties.append(r)
-    return tuple(ties)
+    first: dict[int, int] = {}
+    back = [0] * m  # cyclic distance back to the partner token
+    for q, tok in enumerate(tokens):
+        if tok.arrow in first:
+            f = first[tok.arrow]
+            back[q], back[f] = q - f, m - q + f
+        else:
+            first[tok.arrow] = q
+    kind = [(m + 1) * (tok.kind == "T") for tok in tokens]
+    word = [(kind[q], back[q], arrows[t.arrow].sign, arrows[t.arrow].valuation)
+            for q, t in enumerate(tokens)]
+    border = [0] * m  # prefix function of the rotation-invariant word
+    for q in range(1, m):
+        b = border[q - 1]
+        while b and word[q] != word[b]:
+            b = border[b - 1]
+        border[q] = b + (word[q] == word[b])
+    p = m - border[-1]  # least period of the word read once
+    if m % p:
+        p = m  # it does not close up round the circle
+    live = list(range(p))
+    for i in range(m):
+        if len(live) == 1:
+            break
+        # kind first; a fresh arrow (m) after any partner read, far ones first
+        syms = [kind[q] + (m - back[q] if back[q] <= i else m)
+                for q in ((r + i) % m for r in live)]
+        least = min(syms)
+        live = [r for r, s in zip(live, syms) if s == least]
+
+    def decorations(r: int):
+        seen = [arrows[tokens[(r + i) % m].arrow] for i in range(m) if back[(r + i) % m] > i]
+        return [a.sign for a in seen], [a.valuation for a in seen]
+
+    return tuple(range(min(live, key=decorations), m, p))
 
 
 @dataclass(frozen=True)

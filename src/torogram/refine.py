@@ -27,7 +27,15 @@ from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, requ
 from .errors import InvalidDiagram, NotAdmissible, NotWeaklyAdmissible
 
 
+# Markings are stored one by one, so a refinement holds at most this many in
+# total; a larger one is refused as out of domain before it is built.
+MAX_MARKINGS = 1_000_000
+
+
 def _counts_to_markings(counts) -> tuple[tuple[int, ...], ...]:
+    total = sum(map(abs, counts))
+    if total > MAX_MARKINGS:
+        raise InvalidDiagram(f"a refinement with {total} markings exceeds the limit {MAX_MARKINGS}")
     return tuple((1,) * c if c >= 0 else (-1,) * (-c) for c in counts)
 
 

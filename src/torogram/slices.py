@@ -10,6 +10,7 @@ realizing any given T-diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
@@ -346,23 +347,13 @@ def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
         edge_marks[-1].extend(leading)
     else:
         edge_marks = [leading]
-    w = sum(s for row in edge_marks for s in row)
-    positions: dict[int, list[int]] = {}
-    for pos, tok in enumerate(tokens):
-        positions.setdefault(tok.arrow, []).append(pos)
+    prefix = list(accumulate((sum(row) for row in edge_marks), initial=0))
+    w = prefix[-1]
+    ends: dict[tuple[str, int], int] = {tok: pos for pos, tok in enumerate(tokens)}
     arrows = []
-    npos = len(tokens)
     for level, k in reading.arrows.items():
-        first, second = positions[k]
-        h = first if tokens[first].kind == "H" else second
-        t = second if h == first else first
-        val = 0
-        e = h
-        while True:
-            val += sum(edge_marks[e])
-            e = (e + 1) % npos
-            if e == t:
-                break
+        h, t = ends["H", k], ends["T", k]  # the arc h..t holds the valuation
+        val = prefix[t] - prefix[h] + (0 if h < t else w)
         arrows.append(Arrow(k, word.slices[level].sign, val))
     return assemble_tdiagram(
         tuple(tokens), tuple(arrows), w, tuple(tuple(row) for row in edge_marks)

@@ -22,6 +22,20 @@ def _paired_tokens(order: list[int], n: int) -> tuple[Token, ...]:
     return tuple(slots[i] for i in range(2 * n))
 
 
+def _arc_sums(tokens, counts) -> list[int]:
+    """The valuations of arrows 1..n: counts summed from head to tail."""
+    m = len(tokens)
+    where = {tok: i for i, tok in enumerate(tokens)}
+    sums = []
+    for k in range(1, m // 2 + 1):
+        v, e = 0, where["H", k]
+        while e != where["T", k]:
+            v += counts[e]
+            e = (e + 1) % m
+        sums.append(v)
+    return sums
+
+
 def random_dgd(
     rng: random.Random, n: int | None = None, max_arrows: int = 6, val_range: int = 3
 ) -> DecoratedGaussDiagram:
@@ -58,18 +72,46 @@ def random_tdiagram(
     if positive and all(not e for e in markings):
         markings[rng.randrange(edge_count)].append(1)
     counts = [sum(e) for e in markings]
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
-    for i, tok in enumerate(tokens):
-        (heads if tok.kind == "H" else tails)[tok.arrow] = i
-    arrows = []
-    for k in range(1, n + 1):
-        v, e = 0, heads[k]
-        while e != tails[k]:
-            v += counts[e]
-            e = (e + 1) % (2 * n)
-        arrows.append(Arrow(k, rng.choice((1, -1)), v))
-    return assemble_tdiagram(tokens, tuple(arrows), sum(counts), markings)
+    vals = _arc_sums(tokens, counts)
+    arrows = tuple(Arrow(k, rng.choice((1, -1)), vals[k - 1]) for k in range(1, n + 1))
+    return assemble_tdiagram(tokens, arrows, sum(counts), markings)
+
+
+def periodic_tdiagram(
+    rng: random.Random, periodic: bool = True, max_block: int = 3, max_repeats: int = 6,
+    positive: bool = False,
+) -> TDiagram:
+    """A block of arrows repeated round the circle, each tail a fixed number
+    of blocks after its head, so the token word is periodic.  With
+    ``periodic`` the signs and markings repeat with the block too, so every
+    decoration does; otherwise they are drawn per arrow and per edge.  The
+    valuations follow from the markings, so the result validates."""
+    b, reps = rng.randint(1, max_block), rng.randint(1, max_repeats)
+    ahead = rng.randrange(reps)
+    slots = list(range(2 * b))
+    rng.shuffle(slots)
+    m = 2 * b * reps
+    tokens: list[Token] = [Token("H", 0)] * m
+    for r in range(reps):
+        for j in range(b):
+            k = r * b + j + 1
+            tokens[2 * b * r + slots[2 * j]] = Token("H", k)
+            tokens[2 * b * ((r + ahead) % reps) + slots[2 * j + 1]] = Token("T", k)
+
+    def marks() -> list[int]:
+        return [1 if positive else rng.choice((1, -1)) for _ in range(rng.randint(0, 2))]
+
+    block, signs = [marks() for _ in range(2 * b)], [rng.choice((1, -1)) for _ in range(b)]
+    markings = [block[e % (2 * b)] if periodic else marks() for e in range(m)]
+    if positive and not any(markings):
+        block[0].append(1)  # the same list whenever it is repeated
+        markings[0] = block[0]
+    counts = [sum(e) for e in markings]
+    arrows = [
+        Arrow(k, signs[(k - 1) % b] if periodic else rng.choice((1, -1)), v)
+        for k, v in enumerate(_arc_sums(tokens, counts), start=1)
+    ]
+    return scrambled_tdiagram(assemble_tdiagram(tokens, arrows, sum(counts), markings), rng)
 
 
 def scrambled_copy(g: DecoratedGaussDiagram, rng: random.Random) -> DecoratedGaussDiagram:
@@ -130,18 +172,11 @@ def t_diagrams(draw, max_arrows: int = 4, max_marks_per_edge: int = 2) -> TDiagr
         )
     )
     counts = [sum(e) for e in markings]
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
-    for i, tok in enumerate(tokens):
-        (heads if tok.kind == "H" else tails)[tok.arrow] = i
-    arrows = []
-    for k in range(1, n + 1):
-        v, e = 0, heads[k]
-        while e != tails[k]:
-            v += counts[e]
-            e = (e + 1) % (2 * n)
-        arrows.append(Arrow(k, draw(st.sampled_from((1, -1))), v))
-    return assemble_tdiagram(tokens, tuple(arrows), sum(counts), markings)
+    vals = _arc_sums(tokens, counts)
+    arrows = tuple(
+        Arrow(k, draw(st.sampled_from((1, -1))), vals[k - 1]) for k in range(1, n + 1)
+    )
+    return assemble_tdiagram(tokens, arrows, sum(counts), markings)
 
 
 def random_braid_word(

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from torogram.admit import transition_graph
+from torogram.admit import _stuck_certificate, transition_graph
 from torogram.diagrams import DecoratedGaussDiagram
+from torogram.errors import NoLevels
 
 
 def simple_cycle_weights(g: DecoratedGaussDiagram) -> list[int]:
@@ -322,3 +323,80 @@ def brute_curve_count(word) -> int:
     for c in range(1, len(word.bottom) + 1):
         union((len(word.slices), c), (0, c))
     return len({find(x) for x in parent})
+
+
+def _rotation_key(tokens, arrows, shift: int):
+    """Comparison key of one rotation, insensitive to arrow relabeling: token
+    kinds with arrows numbered by first appearance, then signs, then
+    valuations in that order."""
+    m = len(tokens)
+    relabel: dict[int, int] = {}
+    codes = []
+    for i in range(m):
+        tok = tokens[(i + shift) % m]
+        fresh = relabel.setdefault(tok.arrow, len(relabel) + 1)
+        codes.append((0 if tok.kind == "H" else 1, fresh))
+    by_first_seen = sorted(relabel, key=relabel.__getitem__)
+    signs = tuple(arrows[a].sign for a in by_first_seen)
+    vals = tuple(arrows[a].valuation for a in by_first_seen)
+    return (tuple(codes), signs, vals)
+
+
+def brute_least_rotations(tokens, arrows) -> tuple[int, ...]:
+    """Every rotation keyed in full, O(n*m): the reference for
+    ``diagrams._least_rotations``.  A least key starts ``(H, 1)``."""
+    if not tokens:
+        return (0,)
+    best_key = None
+    ties: list[int] = []
+    for r, tok in enumerate(tokens):
+        if tok.kind != "H":
+            continue
+        key = _rotation_key(tokens, arrows, r)
+        if best_key is None or key < best_key:
+            best_key, ties = key, [r]
+        elif key == best_key:
+            ties.append(r)
+    return tuple(ties)
+
+
+def brute_level_decomposition(t) -> dict[int, int]:
+    """Round-by-round peel that rescans every live token each round, O(n*m):
+    the reference for ``admit.level_decomposition`` (the positivity check is
+    left to the caller).  Raises the same ``NoLevels`` certificate."""
+    g = t.base
+    n = g.n
+    if n == 0:
+        return {}
+    m = 2 * n
+    has_marks = [bool(t.markings[e]) for e in range(m)]
+    alive = [True] * m
+    levels: dict[int, int] = {}
+    remaining = set(g.arrow_map)
+    level = 0
+    while remaining:
+        level += 1
+        alive_pos = [i for i in range(m) if alive[i]]
+        anchored: dict[int, bool] = {}
+        for idx, p in enumerate(alive_pos):
+            e = alive_pos[idx - 1]  # previous alive token, cyclically
+            found = False
+            while e != p:
+                if has_marks[e]:
+                    found = True
+                    break
+                e = (e + 1) % m
+            anchored[p] = found
+        peeled = [
+            k for k in sorted(remaining)
+            if anchored[g.positions[k][0]] and anchored[g.positions[k][1]]
+        ]
+        if not peeled:
+            anchored_at = [anchored.get(p, False) for p in range(m)]
+            raise NoLevels(_stuck_certificate(g, alive_pos, anchored_at))
+        for k in peeled:
+            levels[k] = level
+            remaining.discard(k)
+            h, tl = g.positions[k]
+            alive[h] = alive[tl] = False
+    return levels

@@ -335,3 +335,15 @@ def test_minimal_refinement_scales_to_forty_arrows():
     assert time.perf_counter() - t0 < 2.0
     assert validate(t).ok
     assert t.marking_count <= find_refinement(g).marking_count
+
+
+def test_braid_closures_read_in_linear_time():
+    # the full key of every rotation took seconds on the periodic closure
+    rng = random.Random(2000)
+    for word in (_knotted_braid(rng, 3, 2000), VirtualBraidWord(2, (Letter("s", 1),) * 2001)):
+        drawing = braid_to_sliceword(word)
+        t0 = time.perf_counter()
+        t = extract_tdiagram(drawing)
+        levels = level_decomposition(positive_refinement(t.base))
+        assert time.perf_counter() - t0 < 1.0
+        assert len(levels) == t.base.n == len(word.letters)

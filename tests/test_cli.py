@@ -1,8 +1,15 @@
 import ast
+import io
 import json
+import re
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torogram.cli
 
@@ -10,14 +17,18 @@ from torogram import (
     canonical_serialize,
     check_loop,
     loop_from_json,
+    loop_homology,
     move_from_json,
     parse_diagram,
     validate,
 )
-from torogram.braid import parse_braid, serialize_braid
+from torogram.braid import braid_to_sliceword, parse_braid, serialize_braid
 from torogram.cli import main
 from torogram.diagrams import TDiagram
-from torogram.slices import extract_tdiagram, parse_sliceword
+from torogram.errors import InvalidDiagram, ParseError
+from torogram.rebuild import reconstruct, to_sliceword
+from torogram.refine import MAX_MARKINGS, positive_refinement
+from torogram.slices import extract_tdiagram, parse_sliceword, serialize_sliceword
 
 TREFOIL = """\
 circle 2
@@ -359,3 +370,104 @@ def test_no_command_is_a_usage_error(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+# the trefoil scaled up: admissible, but every refinement needs ~10^12 markings
+HUGE_TREFOIL = TREFOIL.replace("circle 2", "circle 2000000000000").replace(
+    "val 1\n", "val 1000000000000\n"
+)
+
+
+@pytest.mark.parametrize("command", ["refine", "braid"])
+def test_unbounded_markings_are_refused_at_once(capsys, tmp_path, command):
+    p = tmp_path / "huge.gd"
+    p.write_text(HUGE_TREFOIL)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, str(p))
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert f"exceeds the limit {MAX_MARKINGS}" in err
+
+
+def _seed_texts() -> tuple[str, ...]:
+    g = parse_diagram(TREFOIL)
+    drawing = to_sliceword(reconstruct(g))
+    virtual = braid_to_sliceword(parse_braid("strands 3\ns 1\nv 2\nS 1\ns 2\n"))
+    return (
+        TREFOIL,
+        ONE_ARROW_VAL0,
+        NEGATIVE_CIRCLE,
+        BROKEN_TREFOIL,
+        canonical_serialize(positive_refinement(g)),
+        canonical_serialize(extract_tdiagram(drawing)),
+        serialize_sliceword(drawing),
+        serialize_sliceword(virtual),
+    )
+
+
+SEED_TEXTS = _seed_texts()
+_WORDS = (
+    "circle", "arrows", "seq", "arrow", "sign", "val", "bottom", "cross", "virtual", "cap",
+    "cup", "+", "-", "H1", "T1", "H2", "T3", "M+", "M-", "0", "1", "2", "3", "-1",
+    "1000000000000", "#", "\n", "",
+)
+
+
+def _mutated(text: str, edits: list[tuple[int, str]]) -> str:
+    parts = re.split(r"(\s+)", text)  # words at even indices
+    for i, word in edits:
+        parts[2 * (i % (len(parts) // 2 + 1))] = word
+    return "".join(parts)
+
+
+_texts = st.one_of(
+    st.text(max_size=60),
+    st.builds(
+        _mutated,
+        st.sampled_from(SEED_TEXTS),
+        st.lists(st.tuples(st.integers(0, 200), st.sampled_from(_WORDS)), max_size=4),
+    ),
+)
+
+
+def _cli(args: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(args + ["--json"])
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_texts, st.binary(max_size=4))
+def test_arbitrary_text_keeps_the_exit_code_contract(text, junk):
+    for parse in (parse_diagram, parse_sliceword):
+        try:
+            parse(text)
+        except (ParseError, InvalidDiagram):
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        gd, sw, raw = Path(tmp, "x.gd"), Path(tmp, "x.sw"), Path(tmp, "raw.gd")
+        gd.write_bytes(text.encode("utf-8", "surrogatepass"))
+        sw.write_bytes(text.encode("utf-8", "surrogatepass"))
+        raw.write_bytes(junk + b"\xff")  # never UTF-8
+        good_gd, good_sw = Path(tmp, "good.gd"), Path(tmp, "good.sw")
+        good_gd.write_text(SEED_TEXTS[5])
+        good_sw.write_text(SEED_TEXTS[6])
+        runs = [[name, str(gd)] for name, (_, suffixes) in torogram.cli._COMMANDS.items() if suffixes]
+        runs += [["refine", str(gd), "--mode", mode] for mode in torogram.cli._REFINERS]
+        runs += [
+            ["validate", str(sw)], ["extract", str(sw)], ["admissible", str(raw)],
+            ["connect", str(gd), str(good_gd)], ["connect", str(good_gd), str(gd)],
+            ["section", str(sw), str(good_gd)], ["section", str(good_sw), str(gd)],
+        ]
+        for args in runs:
+            code, out = _cli(args)
+            assert code in (0, 1, 2), (args, text)
+            if code != 1 or args[0] not in ("admissible", "levels", "braid", "refine"):
+                continue  # elsewhere exit 1 is a refuted claim or an undrawable input
+            data = json.loads(out)
+            parsed = parse_diagram(text)
+            g = parsed.base if isinstance(parsed, TDiagram) else parsed
+            loop = loop_from_json(data["loop"])
+            check_loop(g, loop)
+            assert loop_homology(g, loop) == data.get("class", 0), (args, text)

@@ -30,7 +30,18 @@ from torogram import (
 from torogram.braid import braid_to_sliceword, parse_braid
 from torogram.slices import extract_tdiagram
 
-from gen import dgd_diagrams, random_dgd, random_tdiagram, scrambled_copy, scrambled_tdiagram, t_diagrams
+from torogram.diagrams import _least_rotations
+
+from gen import (
+    dgd_diagrams,
+    periodic_tdiagram,
+    random_dgd,
+    random_tdiagram,
+    scrambled_copy,
+    scrambled_tdiagram,
+    t_diagrams,
+)
+from oracles import brute_least_rotations
 
 MARKED_THREE = """\
 circle 2
@@ -341,3 +352,20 @@ arrow 3 sign + val 2
             assert t.base._tied_rotations == (0, 2, 4)
             assert canonical_serialize(t) == expected
             assert canonical_serialize(parse_diagram(_raw_text(t))) == expected
+
+
+def test_least_rotations_match_the_full_key_scan():
+    rng = random.Random(5150)
+    cases = [random_dgd(rng, max_arrows=8, val_range=rng.choice((0, 1, 3))) for _ in range(1500)]
+    cases += [random_tdiagram(rng, max_arrows=8).base for _ in range(1500)]
+    cases += [periodic_tdiagram(rng, periodic=i % 2 == 0).base for i in range(3000)]
+    periodic_ties = 0
+    for g in cases:
+        r = rng.randrange(len(g.tokens) or 1)
+        tokens = g.tokens[r:] + g.tokens[:r]
+        ties = brute_least_rotations(tokens, g.arrow_map)
+        assert _least_rotations(tokens, g.arrow_map) == ties
+        assert g._tied_rotations == tuple(t - ties[0] for t in ties)
+        periodic_ties += len(ties) > 1
+    # period collapse is exercised, not only elimination
+    assert periodic_ties > 1000
