@@ -90,15 +90,16 @@ def bellman_ford(
     return dist, pred, last
 
 
-def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | None:
-    """A directed cycle with ``sum(scale*w + bias) < 0``, as circle-edge walk.
+def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> tuple:
+    """A directed cycle with ``sum(scale*w + bias) < 0``, as circle-edge walk,
+    and the Bellman-Ford distances (a feasible potential when there is none).
 
     The predecessor chain of a vertex still relaxed in the last Bellman-Ford
     pass is long enough to be guaranteed to wrap around one.
     """
-    _, pred, last = bellman_ford(tg, scale, bias)
+    dist, pred, last = bellman_ford(tg, scale, bias)
     if last is None:
-        return None
+        return None, dist
     seen: dict[int, int] = {}
     order: list[int] = []
     cur = last
@@ -108,7 +109,7 @@ def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> list[int] | N
         cur = pred[cur][0]
     cyc = order[seen[cur]:]  # backward list: pred(cyc[i]) == cyc[i + 1], wrapping
     c = len(cyc)
-    return [pred[cyc[i]][1] for i in range(c - 2, -1, -1)] + [pred[cyc[c - 1]][1]]
+    return [pred[cyc[i]][1] for i in range(c - 2, -1, -1)] + [pred[cyc[c - 1]][1]], dist
 
 
 def negative_cycle(tg: TransitionGraph) -> list[int] | None:
@@ -119,12 +120,30 @@ def negative_cycle(tg: TransitionGraph) -> list[int] | None:
     altogether (a simple cycle's rescaled weight is its length mod E+1), so
     the predecessor-cycle extraction cannot return a zero-weight impostor.
     """
-    return _pessimal_cycle(tg, len(tg.edges) + 1, 1)
+    return _pessimal_cycle(tg, len(tg.edges) + 1, 1)[0]
 
 
 def _zero_cycle(tg: TransitionGraph) -> list[int] | None:
     """A cycle of weight exactly 0; only sound once negative cycles are ruled out."""
-    return _pessimal_cycle(tg, len(tg.edges) + 1, -1)
+    return _pessimal_cycle(tg, len(tg.edges) + 1, -1)[0]
+
+
+def _has_tight_cycle(tg: TransitionGraph, pi: list[int]) -> bool:
+    """Whether some cycle weighs exactly 0: whether the edges of reduced cost 0
+    under the feasible potential ``pi`` survive Kahn's peel, O(n + m)."""
+    out: list[list[int]] = [[] for _ in pi]
+    indegree = [0] * len(pi)
+    for u, v, w, _ in tg.edges:
+        if w + pi[u] - pi[v] == 0:
+            out[u].append(v)
+            indegree[v] += 1
+    free = [v for v, d in enumerate(indegree) if d == 0]
+    for u in free:
+        for v in out[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                free.append(v)
+    return len(free) < len(pi)
 
 
 @dataclass(frozen=True)
@@ -170,7 +189,8 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
     if w < 0:
         return _certified(g, NOT_WEAKLY, g.circle_loop(), w)
     tg = transition_graph(g)
-    walk = negative_cycle(tg)
+    scale = len(tg.edges) + 1
+    walk, dist = _pessimal_cycle(tg, scale, 1)  # negative_cycle, keeping dist
     if walk is not None:
         loop = _walk_to_loop(g, walk)
         counts = g.reference_counts
@@ -180,8 +200,12 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
             return _certified(g, WEAKLY_ONLY, g.distinguished_loop(a.id), 0)
     if w == 0:
         return _certified(g, WEAKLY_ONLY, g.circle_loop(), 0)
-    walk = _zero_cycle(tg)
-    if walk is not None:
+    # shortest paths are simple, under E + 1 edges: dist // scale is the
+    # unscaled shortest distance, a feasible potential
+    if _has_tight_cycle(tg, [d // scale for d in dist]):
+        walk = _zero_cycle(tg)
+        if walk is None:
+            raise RuntimeError("a tight cycle exists but Bellman-Ford finds no zero cycle")
         return _certified(g, WEAKLY_ONLY, _walk_to_loop(g, walk), 0)
     return AdmissibilityReport(ADMISSIBLE, None, None)
 
@@ -228,6 +252,8 @@ def level_decomposition(t: TDiagram, require_positive: bool = True) -> dict[int,
                 if anchored[h] and anchored[tl]:
                     ready.add(k)
     if len(levels) < g.n:
+        if not any(anchored):  # no markings: the circle itself avoids them all
+            raise NoLevels(g.circle_loop())
         alive_pos = [p for p in range(m) if g.tokens[p].arrow not in levels]
         raise NoLevels(_stuck_certificate(g, alive_pos, anchored))
     return levels

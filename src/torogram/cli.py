@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 from .admit import ADMISSIBLE, check_admissible, level_decomposition
@@ -285,6 +284,7 @@ def _run_batch(ns, directory: Path) -> int:
         d["inputs"] = [str(p)]
         payloads.append(d)
     if ns.parallel and ns.parallel > 1:
+        from multiprocessing import Pool  # only here: ~10 ms of every start-up
         with Pool(ns.parallel) as pool:
             results = pool.map(_worker, payloads)
     else:

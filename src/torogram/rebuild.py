@@ -16,7 +16,7 @@ in knot order.  Vertices are crossings ``("x", id)`` and loose ends
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagrams import (
     DecoratedGaussDiagram,
@@ -309,11 +309,13 @@ class ComponentMap:
 @dataclass(frozen=True)
 class AnnularDiagram:
     """A real diagram of the annulus: tangle pieces in left-to-right order
-    plus, per boundary column, the marking whose cut point sits there."""
+    plus, per boundary column, the marking whose cut point sits there, and
+    the slice word swept from them once, at construction."""
 
     refinement: TDiagram
     components: tuple[ComponentMap, ...]
     column_markings: tuple[int, ...]
+    word: SliceWord = field(repr=False, compare=False)
 
 
 def _component_map(web: _Web, arcs: list[int], ends) -> ComponentMap:
@@ -338,22 +340,30 @@ def _component_map(web: _Web, arcs: list[int], ends) -> ComponentMap:
     )
 
 
-def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
-    """The canonical real annular diagram of a full decorated Gauss diagram,
-    built over its cheapest refinement; raises :class:`NotFull` or
-    :class:`NotRealRealizable` when no such picture exists."""
+def _realize(g: DecoratedGaussDiagram):
+    """The cut-open cheapest refinement, its pieces left to right as (arcs,
+    ends) and the marking per column, or the reason no real picture exists."""
     if not is_full(g):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
-    t = minimal_refinement(g)
-    web = _Web(t)
+    web = _Web(minimal_refinement(g))
     comps = _components(web)
     comp_ends = [_component_ends(web, arcs) for arcs in comps]
     order, bottoms, _ = _order_components(web, comp_ends)
     _glued_face_check(web)
+    columns = tuple(web.end_marking(*e) for e in bottoms)
+    return web, [(comps[i], comp_ends[i]) for i in order], columns
+
+
+def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
+    """The canonical real annular diagram of a full decorated Gauss diagram,
+    built over its cheapest refinement; raises :class:`NotFull` or
+    :class:`NotRealRealizable` when no such picture exists."""
+    web, pieces, columns = _realize(g)
     return AnnularDiagram(
-        refinement=t,
-        components=tuple(_component_map(web, comps[i], comp_ends[i]) for i in order),
-        column_markings=tuple(web.end_marking(*e) for e in bottoms),
+        refinement=web.t,
+        components=tuple(_component_map(web, arcs, ends) for arcs, ends in pieces),
+        column_markings=columns,
+        word=_sweep(web, columns),
     )
 
 
@@ -502,14 +512,13 @@ def _birth_hanging_arc(web, wires, slices, tops) -> bool:
     return False
 
 
-def to_sliceword(a: AnnularDiagram) -> SliceWord:
+def _sweep(web: _Web, columns: tuple[int, ...]) -> SliceWord:
     """Draw the picture as stacked slices, sweeping bottom to top; the knot
     meets the glued boundary exactly at the chosen columns."""
-    web = _Web(a.refinement)
     k = web.k
-    tops = [_top_end(web, m) for m in a.column_markings]
+    tops = [_top_end(web, m) for m in columns]
     wires: list[_Wire] = []
-    for m in a.column_markings:
+    for m in columns:
         if web.signs[m] == 1:
             wires.append(_Wire((m, 0), (m, 0, 1), 1))
         else:
@@ -532,7 +541,7 @@ def to_sliceword(a: AnnularDiagram) -> SliceWord:
         raise RuntimeError("the sweep missed crossings")
     if len(wires) != k:
         raise RuntimeError("the sweep left stray strands")
-    bottom = tuple(web.signs[m] for m in a.column_markings)
+    bottom = tuple(web.signs[m] for m in columns)
     for c, w in enumerate(wires):
         v = web.vertex_of[w.target]
         if v[0] != "end" or (v[1], v[2]) != tops[c]:
@@ -542,10 +551,14 @@ def to_sliceword(a: AnnularDiagram) -> SliceWord:
     return SliceWord(bottom, tuple(slices))
 
 
-def whitney_index(g: DecoratedGaussDiagram) -> int:
-    """Rotation number of the rebuilt picture: every turning point is a cap
-    or a cup, each worth half a turn with the sign of its left branch."""
-    word = to_sliceword(reconstruct(g))
+def to_sliceword(a: AnnularDiagram) -> SliceWord:
+    """The drawing as the stacked slices :func:`reconstruct` swept bottom to top."""
+    return a.word
+
+
+def _half_turns(word: SliceWord) -> int:
+    """Rotation number of a drawn word: every turning point is a cap or a
+    cup, each worth half a turn with the sign of its left branch."""
     levels = direction_levels(word)
     acc = 0
     for i, s in enumerate(word.slices):
@@ -556,6 +569,12 @@ def whitney_index(g: DecoratedGaussDiagram) -> int:
     if acc % 2:
         raise RuntimeError("turning half-units must pair up")
     return acc // 2
+
+
+def whitney_index(g: DecoratedGaussDiagram) -> int:
+    """Rotation number of the picture :func:`reconstruct` draws; fails as it does."""
+    web, _, columns = _realize(g)
+    return _half_turns(_sweep(web, columns))
 
 
 # -- moving the section -------------------------------------------------------------
@@ -672,9 +691,15 @@ def find_section(word: SliceWord, t: TDiagram):
                 out[idx] = (e, j, s)
         return kept, out
 
-    regions = len(set(region.values()))
-    for depth in range(1, regions):
-        hit = _bounded_search(adj, start, goal, depth, match)
+    dist = {goal: 0}  # crossings to the goal, ignoring simplicity and t
+    queue = [goal]
+    for at in queue:
+        for _, to, _ in adj.get(at, ()):
+            if to not in dist:
+                dist[to] = dist[at] + 1
+                queue.append(to)
+    for depth in range(dist.get(start, len(dist)), len(dist)):
+        hit = _bounded_search(adj, start, goal, depth, match, dist)
         if hit is not None:
             kept, seq = hit
             marks = tuple(
@@ -685,9 +710,10 @@ def find_section(word: SliceWord, t: TDiagram):
     raise RuntimeError("no transverse path found; the drawing should admit one")
 
 
-def _bounded_search(adj, start, goal, depth, match):
+def _bounded_search(adj, start, goal, depth, match, dist):
     """First feasible simple path with exactly ``depth`` crossings, trying
-    moves in a fixed lexicographic order."""
+    moves in a fixed lexicographic order; IDA* (Korf 1985) skips a move whose
+    ``dist`` to the goal exceeds the crossings left, which cuts no hit."""
 
     path: list = []
     visited = {start}
@@ -699,10 +725,8 @@ def _bounded_search(adj, start, goal, depth, match):
                 if kept is not None:
                     return kept, seq
             return None
-        if left == 0:
-            return None
         for _, to, rec in adj.get(at, ()):
-            if to in visited:
+            if to in visited or dist.get(to, depth) > left - 1:
                 continue
             visited.add(to)
             path.append(rec)
@@ -727,7 +751,7 @@ def render_svg(a: AnnularDiagram) -> str:
     """A fixed-layout picture of the rebuilt diagram: levels run left to
     right, the section is the dashed vertical line on either side, under
     strands are drawn broken."""
-    word = to_sliceword(a)
+    word = a.word
     levels = direction_levels(word)
     lcount = max(len(word.slices), 1)
     unit = 36.0

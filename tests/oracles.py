@@ -370,6 +370,8 @@ def brute_level_decomposition(t) -> dict[int, int]:
         return {}
     m = 2 * n
     has_marks = [bool(t.markings[e]) for e in range(m)]
+    if not any(has_marks):
+        raise NoLevels(g.circle_loop())  # nothing anchors; the circle avoids every marking
     alive = [True] * m
     levels: dict[int, int] = {}
     remaining = set(g.arrow_map)
@@ -400,3 +402,87 @@ def brute_level_decomposition(t) -> dict[int, int]:
             h, tl = g.positions[k]
             alive[h] = alive[tl] = False
     return levels
+
+
+def brute_zero_cycle(g: DecoratedGaussDiagram) -> bool:
+    """Whether the transition graph has a cycle of weight exactly 0, by the
+    rule ``check_admissible`` used before it tested tight edges: Bellman-Ford
+    under (E+1)*w - 1, which makes exactly the zero cycles negative once no
+    cycle is negative.  Only meaningful on weakly admissible diagrams."""
+    tg = transition_graph(g)
+    scale = len(tg.edges) + 1
+    dist = [0] * (tg.vertex_count + 1)
+    for _ in range(tg.vertex_count + 1):
+        relaxed = False
+        for u, v, w, _ in tg.edges:
+            if dist[u] + scale * w - 1 < dist[v]:
+                dist[v] = dist[u] + scale * w - 1
+                relaxed = True
+        if not relaxed:
+            return False
+    return True
+
+
+def brute_section(word, t):
+    """``rebuild.find_section`` by plain iterative deepening: every depth from
+    1, every simple region path in move order, no distance bound.  Exponential
+    in the number of strands; the reference for the pruned search."""
+    from torogram.diagrams import TDiagram
+    from torogram.rebuild import _passage_table, _region_classes
+    from torogram.slices import _read, _tdiagram
+
+    reading = _read(word)
+    table = _passage_table(reading, _tdiagram(word, reading).base)
+    region = _region_classes(word, reading.levels)
+    adj: dict = defaultdict(list)
+    for (l, c), (e, r, d) in sorted(table.items()):
+        left, right = region[(l, c - 1)], region[(l, c)]
+        if left != right:
+            adj[left].append(((l, c, 0), right, (e, r, d)))
+            adj[right].append(((l, c, 1), left, (e, r, -d)))
+    for moves in adj.values():
+        moves.sort()
+    start, goal = region[(0, 0)], region[(0, len(reading.levels[0]))]
+
+    def embed(path):
+        """Per edge, the path's crossings in knot order matched greedily to
+        t's markings of the same sign, or None."""
+        by_edge = defaultdict(list)
+        for idx, (e, r, s) in enumerate(path):
+            by_edge[e].append((r, s, idx))
+        kept: dict[int, list[int]] = {}
+        seq: list = [None] * len(path)
+        for e, runs in by_edge.items():
+            slot, kept[e] = 0, []
+            for j, (_, s, idx) in enumerate(sorted(runs)):
+                while slot < len(t.markings[e]) and t.markings[e][slot] != s:
+                    slot += 1
+                if slot == len(t.markings[e]):
+                    return None
+                kept[e].append(slot)
+                seq[idx] = (e, j, s)
+                slot += 1
+        return kept, seq
+
+    def paths(at, left, visited, path):
+        if at == goal:
+            if left == 0:
+                yield path
+            return
+        if left == 0:
+            return
+        for _, to, rec in adj[at]:
+            if to not in visited:
+                yield from paths(to, left - 1, visited | {to}, path + [rec])
+
+    for depth in range(1, len(set(region.values()))):
+        for path in paths(start, depth, frozenset((start,)), []):
+            hit = embed(path)
+            if hit is not None:
+                kept, seq = hit
+                marks = tuple(
+                    tuple(t.markings[e][i] for i in kept.get(e, []))
+                    for e in range(t.base.edge_count)
+                )
+                return TDiagram(t.base, marks), tuple(seq)
+    raise AssertionError("no transverse path: the drawing should admit one")

@@ -24,13 +24,20 @@ from torogram.braid import (
     Letter,
     VirtualBraidWord,
     braid_to_sliceword,
-    closure_permutation,
+    closure_permutation_of,
     represent_as_closed_braid,
     synthesize_braid,
 )
 from torogram.diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
 from torogram.errors import NoLevels, NotWeaklyAdmissible
-from torogram.rebuild import annular_to_json, reconstruct, render_svg, to_sliceword, whitney_index
+from torogram.rebuild import (
+    annular_to_json,
+    find_section,
+    reconstruct,
+    render_svg,
+    to_sliceword,
+    whitney_index,
+)
 from torogram.refine import (
     TypeIDelete,
     TypeIInsert,
@@ -297,17 +304,17 @@ def test_two_strand_triple_twist_end_to_end():
 
 
 def _knotted_braid(rng, strands, letters):
+    """A positive braid word whose closure is a knot; ``letters`` must be
+    congruent to ``strands - 1`` mod 2, or every sample closes to a link."""
     while True:
-        word = VirtualBraidWord(
-            strands, tuple(Letter("s", rng.randint(1, strands - 1)) for _ in range(letters))
-        )
-        exits = closure_permutation(word)
+        drawn = tuple(Letter("s", rng.randint(1, strands - 1)) for _ in range(letters))
+        exits = closure_permutation_of(strands, drawn)
         seen, at = 1, exits[0]
         while at != 0:
             at = exits[at]
             seen += 1
         if seen == strands:
-            return word
+            return VirtualBraidWord(strands, drawn)
 
 
 def test_admissibility_scales_to_five_hundred_arrows():
@@ -335,6 +342,18 @@ def test_minimal_refinement_scales_to_forty_arrows():
     assert time.perf_counter() - t0 < 2.0
     assert validate(t).ok
     assert t.marking_count <= find_refinement(g).marking_count
+
+
+def test_section_of_a_ten_strand_closure_is_found_fast():
+    # plain iterative deepening did not finish in a minute at eight strands
+    rng = random.Random(10)
+    word = braid_to_sliceword(_knotted_braid(rng, 10, 101))
+    t = extract_tdiagram(word)
+    t0 = time.perf_counter()
+    kept, crossings = find_section(word, t)
+    assert time.perf_counter() - t0 < 1.0
+    assert canonical_serialize(kept) == canonical_serialize(t)
+    assert len(crossings) == t.marking_count == 10
 
 
 def test_braid_closures_read_in_linear_time():

@@ -18,16 +18,20 @@ from torogram.admit import (
     NOT_WEAKLY,
     WEAKLY_ONLY,
     AdmissibilityReport,
+    _walk_to_loop,
+    _zero_cycle,
     check_admissible,
     level_decomposition,
     transition_graph,
 )
 
 from torogram.braid import braid_to_sliceword
+from torogram.diagrams import Arrow, DecoratedGaussDiagram
+from torogram.refine import find_refinement
 from torogram.slices import extract_tdiagram
 
 from gen import dgd_diagrams, periodic_tdiagram, random_braid_word, random_dgd, random_tdiagram
-from oracles import brute_level_decomposition
+from oracles import brute_level_decomposition, brute_zero_cycle
 
 MARKED_THREE = """\
 circle 2
@@ -142,6 +146,27 @@ def test_verdicts_match_exhaustive_cycle_search():
             assert report.homology < 0 if report.verdict == NOT_WEAKLY else report.homology == 0
 
 
+def test_zero_cycles_as_tight_cycles_match_the_bellman_ford_rule():
+    # only diagrams with every valuation positive reach the composite search
+    rng = random.Random(2718)
+    zero = clean = 0
+    for _ in range(2000):
+        g = random_dgd(rng, n=rng.randint(1, 7))
+        arrows = tuple(Arrow(a.id, a.sign, rng.randint(1, 3)) for a in g.arrows)
+        g = DecoratedGaussDiagram(g.tokens, arrows, rng.randint(2, 6))
+        report = check_admissible(g)
+        if report.verdict == NOT_WEAKLY:
+            continue
+        if brute_zero_cycle(g):
+            zero += 1
+            assert report.verdict == WEAKLY_ONLY
+            assert report.certificate == _walk_to_loop(g, _zero_cycle(transition_graph(g)))
+        else:
+            clean += 1
+            assert report == AdmissibilityReport(ADMISSIBLE, None, None)
+    assert zero > 200 and clean > 200
+
+
 @settings(max_examples=120)
 @given(dgd_diagrams(max_arrows=5))
 def test_admissible_requires_positive_valuations_everywhere(g):
@@ -253,3 +278,8 @@ def test_level_peel_matches_the_round_by_round_reference():
         deep += isinstance(want, list) and len(want) > 0 and max(v for _, v in want) > 3
     # stuck peels compare certificates; both outcomes are exercised
     assert stuck > 500 and deep > 200
+    # with no markings at all nothing anchors: the circle is the stuck loop
+    bare = find_refinement(dgd("circle 0\narrows 1\nseq H1 T1\narrow 1 sign + val 0\n"))
+    assert bare.marking_count == 0
+    sign_blind = lambda t: level_decomposition(t, require_positive=False)  # noqa: E731
+    assert _peel(sign_blind, bare) == _peel(brute_level_decomposition, bare) == bare.base.circle_loop()

@@ -1,7 +1,10 @@
 import ast
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -347,6 +350,28 @@ def test_batch_parallel_json_collects_results(capsys, tmp_path):
     rows = json.loads(out)
     assert [r["exit"] for r in rows] == [0, 1]
     assert rows[0]["result"]["whitney"] == 0
+
+
+def test_cli_start_up_leaves_multiprocessing_unloaded():
+    # only --parallel needs a pool; every library module still loads, since
+    # the benchmark's spans install into each of them
+    probe = (
+        "import sys, torogram.cli; "
+        "print('multiprocessing' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('torogram.')))"
+    )
+    src = str(Path(torogram.cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, modules = done.stdout.split(" ", 1)
+    assert loaded == "False"
+    for name in ("admit", "braid", "diagrams", "rebuild", "refine", "slices"):
+        assert f"'torogram.{name}'" in modules
 
 
 def test_batch_rejects_two_input_commands(capsys, tmp_path):

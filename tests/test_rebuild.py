@@ -3,6 +3,7 @@ import random
 import pytest
 
 from torogram import canonical_serialize, parse_diagram
+from torogram.braid import braid_to_sliceword
 from torogram.diagrams import TDiagram
 from torogram.errors import InvalidDiagram, NotFull, NotRealRealizable
 from torogram.rebuild import (
@@ -13,6 +14,7 @@ from torogram.rebuild import (
     to_sliceword,
     whitney_index,
 )
+from torogram.refine import kernel_basis
 from torogram.slices import (
     Cap,
     Cup,
@@ -23,8 +25,8 @@ from torogram.slices import (
     represent_dgd,
 )
 
-from gen import random_real_sliceword, scrambled_copy
-from oracles import turning_number
+from gen import random_braid_word, random_dgd, random_real_sliceword, scrambled_copy
+from oracles import brute_section, turning_number
 
 THREE_TWISTS = parse_diagram(
     "circle 2\n"
@@ -89,6 +91,29 @@ def test_undecorated_diagram_has_no_real_picture():
     flat = parse_diagram("circle 0\narrows 1\nseq H1 T1\narrow 1 sign + val 0\n")
     with pytest.raises(NotFull):
         reconstruct(flat)
+
+
+def test_whitney_index_fails_as_reconstruct_does():
+    rng = random.Random(67)
+    cases = [
+        parse_diagram("circle 2\narrows 0\nseq\n"),
+        parse_diagram("circle 0\narrows 1\nseq H1 T1\narrow 1 sign + val 0\n"),
+        parse_diagram(
+            "circle 1\narrows 2\nseq H1 H2 T1 T2\n"
+            "arrow 1 sign + val 1\narrow 2 sign + val 1\n"
+        ),
+    ] + [random_dgd(rng, max_arrows=4, val_range=2) for _ in range(200)]
+    kinds = set()
+    for g in cases:
+        try:
+            reconstruct(g)
+        except (NotFull, NotRealRealizable) as want:
+            with pytest.raises(type(want)) as got:
+                whitney_index(g)
+            assert str(got.value) == str(want)
+            kinds.add((type(want), str(want)))
+    assert {kind for kind, _ in kinds} == {NotFull, NotRealRealizable}
+    assert len(kinds) >= 4
 
 
 def test_whitney_index_of_the_fixtures():
@@ -187,6 +212,38 @@ def test_section_is_idempotent_on_random_words():
         assert canonical_serialize(again) == canonical_serialize(kept)
         assert seq2 == seq
         assert len(seq) <= t.marking_count
+
+
+def _refinement_like(t: TDiagram, rng: random.Random) -> TDiagram:
+    """Another refinement of ``t``'s diagram: counts moved by random kernel
+    vectors, then cancelling marking pairs slipped into random edges."""
+    counts = list(t.net_counts())
+    for vector in kernel_basis(t.base):
+        c = rng.choice((-1, 0, 0, 1))
+        counts = [x + c * v for x, v in zip(counts, vector)]
+    marks = [[1] * c if c >= 0 else [-1] * -c for c in counts]
+    for _ in range(rng.randint(0, 3)):
+        edge = marks[rng.randrange(len(marks))]
+        at, s = rng.randint(0, len(edge)), rng.choice((1, -1))
+        edge[at:at] = [s, -s]
+    return TDiagram(t.base, tuple(tuple(edge) for edge in marks))
+
+
+def test_section_matches_the_plain_iterative_deepening():
+    rng = random.Random(61)
+    words = [random_real_sliceword(rng, max_crossings=8) for _ in range(40)]
+    while len(words) < 70:  # rebuilt braid closures, up to four strands
+        g = extract_tdiagram(
+            braid_to_sliceword(random_braid_word(rng, max_strands=4, max_real=10, max_virtual=0))
+        ).base
+        words.append(to_sliceword(reconstruct(g)))
+    for word in words:
+        t = extract_tdiagram(word)
+        for marks in (t, _refinement_like(t, rng), _refinement_like(t, rng)):
+            kept, seq = find_section(word, marks)
+            want_kept, want_seq = brute_section(word, marks)
+            assert kept == want_kept
+            assert seq == want_seq
 
 
 def test_section_refuses_virtual_letters():
