@@ -176,38 +176,46 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
     loop of an offending arrow, then the circle, then a composite cycle dug
     out of the transition graph.
     """
+    return _admissibility(g)[0]
+
+
+def _admissibility(g: DecoratedGaussDiagram) -> tuple[AdmissibilityReport, list[int] | None]:
+    """The report of :func:`check_admissible`, and the feasible potential of
+    the transition graph that its Bellman-Ford found; None when the diagram
+    has no arrows or is not weakly admissible."""
     w = g.circle_valuation
     if g.n == 0:
         if w < 0:
-            return _certified(g, NOT_WEAKLY, g.circle_loop(), w)
+            return _certified(g, NOT_WEAKLY, g.circle_loop(), w), None
         if w == 0:
-            return _certified(g, WEAKLY_ONLY, g.circle_loop(), 0)
-        return AdmissibilityReport(ADMISSIBLE, None, None)
+            return _certified(g, WEAKLY_ONLY, g.circle_loop(), 0), None
+        return AdmissibilityReport(ADMISSIBLE, None, None), None
     for a in g.arrows:  # sorted by id
         if a.valuation < 0:
-            return _certified(g, NOT_WEAKLY, g.distinguished_loop(a.id), a.valuation)
+            return _certified(g, NOT_WEAKLY, g.distinguished_loop(a.id), a.valuation), None
     if w < 0:
-        return _certified(g, NOT_WEAKLY, g.circle_loop(), w)
+        return _certified(g, NOT_WEAKLY, g.circle_loop(), w), None
     tg = transition_graph(g)
     scale = len(tg.edges) + 1
     walk, dist = _pessimal_cycle(tg, scale, 1)  # negative_cycle, keeping dist
     if walk is not None:
         loop = _walk_to_loop(g, walk)
         counts = g.reference_counts
-        return _certified(g, NOT_WEAKLY, loop, sum(counts[e] for e in walk))
-    for a in g.arrows:
-        if a.valuation == 0:
-            return _certified(g, WEAKLY_ONLY, g.distinguished_loop(a.id), 0)
-    if w == 0:
-        return _certified(g, WEAKLY_ONLY, g.circle_loop(), 0)
+        return _certified(g, NOT_WEAKLY, loop, sum(counts[e] for e in walk)), None
     # shortest paths are simple, under E + 1 edges: dist // scale is the
     # unscaled shortest distance, a feasible potential
-    if _has_tight_cycle(tg, [d // scale for d in dist]):
+    potential = [d // scale for d in dist]
+    for a in g.arrows:
+        if a.valuation == 0:
+            return _certified(g, WEAKLY_ONLY, g.distinguished_loop(a.id), 0), potential
+    if w == 0:
+        return _certified(g, WEAKLY_ONLY, g.circle_loop(), 0), potential
+    if _has_tight_cycle(tg, potential):
         walk = _zero_cycle(tg)
         if walk is None:
             raise RuntimeError("a tight cycle exists but Bellman-Ford finds no zero cycle")
-        return _certified(g, WEAKLY_ONLY, _walk_to_loop(g, walk), 0)
-    return AdmissibilityReport(ADMISSIBLE, None, None)
+        return _certified(g, WEAKLY_ONLY, _walk_to_loop(g, walk), 0), potential
+    return AdmissibilityReport(ADMISSIBLE, None, None), potential
 
 
 # -- level decomposition ------------------------------------------------------

@@ -141,66 +141,60 @@ def synthesize_braid(t: TDiagram) -> VirtualBraidWord:
     order, sliding strands together with virtual letters and never sliding
     them back, so each crossing costs one real letter plus the slides.
     """
-    levels = level_decomposition(t)
+    return _synthesize(t, level_decomposition(t))
+
+
+def _synthesize(t: TDiagram, levels: dict[int, int]) -> VirtualBraidWord:
+    """:func:`synthesize_braid` for the level decomposition of ``t``."""
     base = t.base
     k = t.marking_count
 
     # arc of each token: index of the last marking before it along the curve
     arc_of = []
-    count = 0
-    for p in range(2 * base.n):
-        arc_of.append((count - 1) % k)
-        count += len(t.markings[p])
+    count = -1
+    for row in t.markings:
+        arc_of.append(count % k)
+        count += len(row)
     at = list(range(1, k)) + [0]  # column c holds arc at[c - 1]
+    col = [k] + list(range(1, k))  # and arc a sits at column col[a]
     letters: list[Letter] = []
+    # letters are immutable: one of each kind per column serves every use
+    kinds = {kind: [None] + [Letter(kind, c) for c in range(1, k)] for kind in "sSv"}
 
-    def column(arc: int) -> int:
-        return at.index(arc) + 1
+    def swap(kind: str, c: int) -> None:
+        letters.append(kinds[kind][c])
+        a, b = at[c - 1], at[c]
+        at[c - 1], at[c] = b, a
+        col[a], col[b] = c + 1, c
 
-    def slide_adjacent(left_arc: int, right_arc: int) -> int:
-        """Virtual letters until right_arc sits just right of left_arc."""
-        cl, cr = column(left_arc), column(right_arc)
-        if cl < cr:
-            span = range(cr - 1, cl, -1)
-        else:
-            span = range(cr, cl)
-        for c in span:
-            letters.append(Letter("v", c))
-            at[c - 1], at[c] = at[c], at[c - 1]
-        return column(left_arc)
-
-    by_level: dict[int, list[int]] = {}
+    by_level: dict[int, list[tuple[int, int, int]]] = {}
     for arrow_id, level in levels.items():
-        by_level.setdefault(level, []).append(arrow_id)
+        h, tl = base.positions[arrow_id]
+        if arc_of[h] == arc_of[tl]:
+            raise RuntimeError("a crossing cannot tie an arc to itself")
+        by_level.setdefault(level, []).append((arrow_id, arc_of[h], arc_of[tl]))
     for level in sorted(by_level):
-        band = set(by_level[level])
+        band = by_level[level]
         while band:
-            arrow_id = min(
-                band,
-                key=lambda a: (
-                    min(column(arc_of[base.positions[a][0]]), column(arc_of[base.positions[a][1]])),
-                    a,
-                ),
+            crossing = band[0] if len(band) == 1 else min(
+                band, key=lambda x: (min(col[x[1]], col[x[2]]), x[0])
             )
-            band.remove(arrow_id)
-            arrow = base.arrow_map[arrow_id]
-            h, tl = base.positions[arrow_id]
-            arc_h, arc_t = arc_of[h], arc_of[tl]
-            if arc_h == arc_t:
-                raise RuntimeError("a crossing cannot tie an arc to itself")
-            left = arc_h if arrow.sign == 1 else arc_t
-            right = arc_t if arrow.sign == 1 else arc_h
-            c = slide_adjacent(left, right)
-            letters.append(Letter("s" if arrow.sign == 1 else "S", c))
-            at[c - 1], at[c] = at[c], at[c - 1]
+            band.remove(crossing)
+            arrow_id, arc_h, arc_t = crossing
+            sign = base.arrow_map[arrow_id].sign
+            left, right = (arc_h, arc_t) if sign == 1 else (arc_t, arc_h)
+            # virtual letters until right sits just right of left
+            cl, cr = col[left], col[right]
+            for c in range(cr - 1, cl, -1) if cl < cr else range(cr, cl):
+                swap("v", c)
+            swap("s" if sign == 1 else "S", col[left])
 
     # close up: arc j must exit where arc j+1 enters, so sort to 0..k-1
     while True:
         swapped = False
         for c in range(1, k):
             if at[c - 1] > at[c]:
-                letters.append(Letter("v", c))
-                at[c - 1], at[c] = at[c], at[c - 1]
+                swap("v", c)
                 swapped = True
         if not swapped:
             break

@@ -18,8 +18,8 @@ from .admit import (
     ADMISSIBLE,
     NOT_WEAKLY,
     TransitionGraph,
+    _admissibility,
     bellman_ford,
-    check_admissible,
     negative_cycle,
     transition_graph,
 )
@@ -141,13 +141,10 @@ def _lex_least(tg: TransitionGraph, counts: list[int], signs: list[int]) -> list
 
 
 def _refinement(
-    g: DecoratedGaussDiagram, tg: TransitionGraph, arcs: TransitionGraph, signs: list[int]
+    g: DecoratedGaussDiagram, tg: TransitionGraph, potential: list[int] | None, signs: list[int]
 ) -> TDiagram:
-    """Run the core from Bellman-Ford distances on the constraint ``arcs``; check its answer."""
-    dist, _, last = bellman_ford(arcs)
-    if last is not None:
-        raise RuntimeError("the sign constraints have a negative cycle")
-    start = [w + dist[u] - dist[v] for (u, v, w, _) in tg.edges]
+    """Run the core from a feasible ``potential`` of the constraint arcs; check its answer."""
+    start = [w + potential[u] - potential[v] for (u, v, w, _) in tg.edges]
     counts = _lex_least(tg, start, signs) if g.n else [g.circle_valuation]
     broken = [e for e, (x, s) in enumerate(zip(counts, signs)) if x * s < 0 or (x and not s)]
     t = TDiagram(g, _counts_to_markings(counts))
@@ -164,14 +161,15 @@ def non_negative_refinement(g: DecoratedGaussDiagram) -> TDiagram:
     """The lexicographically least refinement with every marking sign +1.
 
     Needs weak admissibility: no transition cycle is negative, so the
-    transition graph itself is the constraint graph of ``x >= 0``.  Raises
+    transition graph itself is the constraint graph of ``x >= 0``, and the
+    admissibility check's Bellman-Ford potential is feasible for it.  Raises
     :class:`NotWeaklyAdmissible` with the certificate loop otherwise.
     """
-    report = check_admissible(g)
+    report, potential = _admissibility(g)
     if report.verdict == NOT_WEAKLY:
         raise NotWeaklyAdmissible(report.certificate, report.homology)
     tg = transition_graph(g)
-    return _refinement(g, tg, tg, [1] * len(tg.edges))
+    return _refinement(g, tg, potential, [1] * len(tg.edges))
 
 
 def positive_refinement(g: DecoratedGaussDiagram) -> TDiagram:
@@ -181,11 +179,11 @@ def positive_refinement(g: DecoratedGaussDiagram) -> TDiagram:
     otherwise.  The circle valuation of an admissible diagram is positive, so
     the nonnegative construction is automatically positive.
     """
-    report = check_admissible(g)
+    report, potential = _admissibility(g)
     if report.verdict != ADMISSIBLE:
         raise NotAdmissible(report.certificate, report.homology)
     tg = transition_graph(g)
-    t = _refinement(g, tg, tg, [1] * len(tg.edges))
+    t = _refinement(g, tg, potential, [1] * len(tg.edges))
     if not t.is_positive:
         raise RuntimeError("admissible diagram without a positive refinement")
     return t
@@ -216,7 +214,10 @@ def minimal_refinement(g: DecoratedGaussDiagram) -> TDiagram:
         residual = TransitionGraph(tg.vertex_count, tuple(arcs))
         cycle = negative_cycle(residual)
         if cycle is None:
-            return _refinement(g, tg, residual, [-f for f in flow])
+            dist, _, last = bellman_ford(residual)
+            if last is not None:
+                raise RuntimeError("the sign constraints have a negative cycle")
+            return _refinement(g, tg, dist, [-f for f in flow])
         for a in cycle:
             flow[a % m] += 1 if a < m else -1
 

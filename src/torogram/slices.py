@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
+from .admit import level_decomposition
 from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
-from .errors import InvalidDiagram, ParseError
+from .errors import InvalidDiagram, NoLevels, ParseError
 
 
 def _check_sign(value: int, what: str) -> None:
@@ -390,6 +391,26 @@ class _Strand:
 
 def represent_tdiagram(t: TDiagram) -> SliceWord:
     """A slice word whose extraction gives back the T-diagram.
+
+    A positive T-diagram with a level decomposition is a closed braid, and is
+    drawn as the closure of the braid that
+    :func:`torogram.braid.synthesize_braid` builds.  Any other T-diagram is
+    drawn with parked strands (:func:`_represent_parked`).
+    """
+    from .braid import _synthesize, braid_to_sliceword  # braid imports this module
+
+    if t.is_positive:
+        try:
+            levels = level_decomposition(t)
+        except NoLevels:
+            pass
+        else:
+            return braid_to_sliceword(_synthesize(t, levels))
+    return _represent_parked(t)
+
+
+def _represent_parked(t: TDiagram) -> SliceWord:
+    """A slice word for any T-diagram, virtual crossings allowed.
 
     One moving pen strand traces the curve event by event.  Boundary passages
     are parked lane strands, ordered along the curve from its first upward

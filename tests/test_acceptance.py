@@ -50,7 +50,7 @@ from torogram.refine import (
     non_negative_refinement,
     positive_refinement,
 )
-from torogram.slices import extract_tdiagram
+from torogram.slices import VirtualCross, extract_tdiagram, represent_tdiagram
 
 from gen import random_braid_word, random_dgd, random_real_sliceword, random_tdiagram
 from oracles import (
@@ -366,3 +366,18 @@ def test_braid_closures_read_in_linear_time():
         levels = level_decomposition(positive_refinement(t.base))
         assert time.perf_counter() - t0 < 1.0
         assert len(levels) == t.base.n == len(word.letters)
+
+
+def test_represent_draws_an_800_crossing_closure_as_its_braid():
+    # parked strands drew this refinement in 6027 slices, 3627 of them
+    # virtual, where its braid has 816 letters, 16 of them virtual
+    rng = random.Random(800)
+    drawing = braid_to_sliceword(_knotted_braid(rng, 5, 800))
+    t = positive_refinement(extract_tdiagram(drawing).base)
+    t0 = time.perf_counter()
+    word = represent_tdiagram(t)
+    assert time.perf_counter() - t0 < 0.5
+    letters = synthesize_braid(t).letters
+    assert len(word.slices) == len(letters)
+    virtual = sum(isinstance(s, VirtualCross) for s in word.slices)
+    assert virtual == sum(letter.kind == "v" for letter in letters)

@@ -1,12 +1,13 @@
 """Braid words, their closures, and synthesis from leveled diagrams."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from gen import random_braid_word, random_tdiagram
-from torogram.admit import ADMISSIBLE, check_admissible
+from torogram.admit import ADMISSIBLE, check_admissible, level_decomposition
 from torogram.braid import (
     Letter,
     VirtualBraidWord,
@@ -26,7 +27,14 @@ from torogram.diagrams import (
 )
 from torogram.errors import InvalidDiagram, NoLevels, NotPositive, ParseError
 from torogram.refine import positive_refinement
-from torogram.slices import RealCross, VirtualCross, extract_tdiagram, validate_sliceword
+from torogram.slices import (
+    RealCross,
+    VirtualCross,
+    _represent_parked,
+    extract_tdiagram,
+    represent_tdiagram,
+    validate_sliceword,
+)
 
 MARKED_THREE = (
     "circle 2\n"
@@ -183,3 +191,67 @@ def test_synthesis_is_deterministic():
         t = extract_tdiagram(braid_to_sliceword(word))
         again = extract_tdiagram(braid_to_sliceword(word))
         assert synthesize_braid(t) == synthesize_braid(again)
+
+
+# -- representation
+
+
+def test_represent_draws_leveled_positive_refinements_as_braid_closures():
+    rng = random.Random(61)
+    refinements = [extract_tdiagram(braid_to_sliceword(random_braid_word(rng))) for _ in range(100)]
+    refinements += [random_tdiagram(rng, max_arrows=6, positive=True) for _ in range(300)]
+    seen = 0
+    for t in refinements:
+        try:
+            level_decomposition(t)
+        except NoLevels:
+            continue
+        seen += 1
+        assert represent_tdiagram(t) == braid_to_sliceword(synthesize_braid(t))
+    assert seen > 200
+
+
+def test_represent_parks_refinements_that_are_not_braid_closures():
+    rng = random.Random(62)
+    seen = {"negative": 0, "unmarked": 0, "no levels": 0}
+    for _ in range(400):
+        t = random_tdiagram(rng, max_arrows=5)
+        if t.is_positive:
+            try:
+                level_decomposition(t)
+                continue
+            except NoLevels:
+                seen["no levels"] += 1
+        else:
+            seen["negative" if t.marking_count else "unmarked"] += 1
+        word = represent_tdiagram(t)
+        assert word == _represent_parked(t)
+        assert canonical_serialize(extract_tdiagram(word)) == canonical_serialize(t)
+    assert min(seen.values()) > 10
+
+
+# -- frozen outputs
+
+# sha256 of _synthesis_texts() as computed by the synthesis that looked up
+# each arc's column with a list search; any change to a synthesized word shows
+# here
+SYNTHESIS_SHA256 = "9569e8097455f39af5b0e1a6e01b4538972fb9bd76bc942e4e59254badaa3603"
+
+
+def _synthesis_texts() -> list[str]:
+    rng = random.Random(20261018)
+    refinements = []
+    while len(refinements) < 240:
+        word = random_braid_word(rng, max_real=rng.choice((8, 40, 200)), max_virtual=10)
+        t = extract_tdiagram(braid_to_sliceword(word))
+        refinements += [t, positive_refinement(t.base)]
+    while len(refinements) < 360:
+        t = random_tdiagram(rng, max_arrows=7, positive=True)
+        if check_admissible(t.base).verdict == ADMISSIBLE:
+            refinements.append(t)
+    return [serialize_braid(synthesize_braid(t)) for t in refinements]
+
+
+def test_synthesis_is_byte_identical_to_the_frozen_corpus():
+    texts = _synthesis_texts()
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == SYNTHESIS_SHA256

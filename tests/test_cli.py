@@ -54,6 +54,10 @@ NEGATIVE_CIRCLE = "circle -1\narrows 0\nseq\n"
 # one marking where the trefoil's valuations ask for two
 BROKEN_TREFOIL = TREFOIL.replace("seq H1", "seq M+ H1")
 
+# a refinement of the trefoil with a cancelling pair of markings: it is not
+# positive, so represent draws it with parked strands and virtual crossings
+PADDED_TREFOIL = TREFOIL.replace("seq H1 T2 H3 T1", "seq M+ M- M+ H1 T2 H3 M+ T1")
+
 
 @pytest.fixture
 def trefoil(tmp_path):
@@ -237,10 +241,12 @@ def test_section_pipeline(capsys, trefoil, tmp_path):
     ]
 
 
-def test_section_rejects_virtual_words(capsys, trefoil, tmp_path):
+def test_section_rejects_virtual_words(capsys, tmp_path):
+    padded = tmp_path / "padded.gd"
+    padded.write_text(PADDED_TREFOIL)
     sw = tmp_path / "virt.sw"
     marked = tmp_path / "marked.gd"
-    run(capsys, "represent", trefoil, "--out", str(sw))
+    run(capsys, "represent", str(padded), "--out", str(sw))
     run(capsys, "extract", str(sw), "--out", str(marked))
     code, _, err = run(capsys, "section", str(sw), str(marked))
     assert code == 2

@@ -16,6 +16,7 @@ from torogram.slices import (
     RealCross,
     SliceWord,
     VirtualCross,
+    _represent_parked,
     crossing_records,
     direction_levels,
     extract_tdiagram,
@@ -246,7 +247,7 @@ def test_extraction_is_deterministic():
 # sha256 of _reading_texts() as computed by the separate upward and downward
 # walks and the union-find curve count that one two-way step replaced; any
 # change to extraction, crossing records, validation reports, sections or
-# rebuilt drawings shows here
+# rebuilt drawings shows here, and so does any change to the parked drawings
 READING_SHA256 = "5cdc44c42f297d49497523d33d689e68b668b33516880ddcffb2de54f75e1bf7"
 
 
@@ -269,7 +270,7 @@ def _reading_texts() -> list[str]:
     rng = random.Random(20261019)
     drawings = [random_real_sliceword(rng, max_crossings=8) for _ in range(60)]
     words = list(drawings)
-    words += [represent_tdiagram(random_tdiagram(rng, max_arrows=5)) for _ in range(60)]
+    words += [_represent_parked(random_tdiagram(rng, max_arrows=5)) for _ in range(60)]
     while len(words) < 160:
         try:
             word = braid_to_sliceword(random_braid_word(rng))
