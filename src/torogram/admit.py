@@ -63,7 +63,7 @@ def _walk_to_loop(g: DecoratedGaussDiagram, circle_edges: list[int]) -> DiagramL
 
 
 def bellman_ford(
-    tg: TransitionGraph, scale: int = 1, bias: int = 0
+    tg: TransitionGraph, scale: int, bias: int
 ) -> tuple[list[int], dict[int, tuple[int, int]], int | None]:
     """Bellman-Ford under ``scale*w + bias`` from a virtual everywhere-source.
 
@@ -94,6 +94,14 @@ def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> tuple:
     """A directed cycle with ``sum(scale*w + bias) < 0``, as circle-edge walk,
     and the Bellman-Ford distances (a feasible potential when there is none).
 
+    With ``scale = E + 1`` the search is exact: a simple cycle's rescaled
+    weight is ``scale*W + bias*L`` with ``0 < L < scale``, never 0, so the
+    predecessor-cycle extraction cannot return a zero-weight impostor.  Bias
+    +1 finds a cycle of weight ``W <= -1`` and keeps ``W >= 0`` positive; bias
+    -1 finds ``W = 0`` once negative cycles are ruled out.  When bias +1 finds
+    none, shortest paths are simple, under ``scale`` edges, so ``dist //
+    scale`` is the unscaled shortest distance, a feasible potential.
+
     The predecessor chain of a vertex still relaxed in the last Bellman-Ford
     pass is long enough to be guaranteed to wrap around one.
     """
@@ -110,17 +118,6 @@ def _pessimal_cycle(tg: TransitionGraph, scale: int, bias: int) -> tuple:
     cyc = order[seen[cur]:]  # backward list: pred(cyc[i]) == cyc[i + 1], wrapping
     c = len(cyc)
     return [pred[cyc[i]][1] for i in range(c - 2, -1, -1)] + [pred[cyc[c - 1]][1]], dist
-
-
-def negative_cycle(tg: TransitionGraph) -> list[int] | None:
-    """A cycle of weight < 0, exactly.
-
-    Rescaling w -> (E+1)*w + 1 keeps cycles of weight <= -1 negative, pushes
-    weight >= 0 cycles strictly positive, and rules out rescaled-zero cycles
-    altogether (a simple cycle's rescaled weight is its length mod E+1), so
-    the predecessor-cycle extraction cannot return a zero-weight impostor.
-    """
-    return _pessimal_cycle(tg, len(tg.edges) + 1, 1)[0]
 
 
 def _zero_cycle(tg: TransitionGraph) -> list[int] | None:
@@ -197,13 +194,11 @@ def _admissibility(g: DecoratedGaussDiagram) -> tuple[AdmissibilityReport, list[
         return _certified(g, NOT_WEAKLY, g.circle_loop(), w), None
     tg = transition_graph(g)
     scale = len(tg.edges) + 1
-    walk, dist = _pessimal_cycle(tg, scale, 1)  # negative_cycle, keeping dist
+    walk, dist = _pessimal_cycle(tg, scale, 1)
     if walk is not None:
         loop = _walk_to_loop(g, walk)
         counts = g.reference_counts
         return _certified(g, NOT_WEAKLY, loop, sum(counts[e] for e in walk)), None
-    # shortest paths are simple, under E + 1 edges: dist // scale is the
-    # unscaled shortest distance, a feasible potential
     potential = [d // scale for d in dist]
     for a in g.arrows:
         if a.valuation == 0:

@@ -230,15 +230,15 @@ class TDiagram:
                     raise InvalidDiagram(f"marking sign must be +1 or -1, got {s}")
         object.__setattr__(self, "markings", marks)
 
-    @property
+    @cached_property
     def marking_count(self) -> int:
         return sum(len(edge) for edge in self.markings)
 
-    @property
+    @cached_property
     def is_nonnegative(self) -> bool:
         return all(s == 1 for edge in self.markings for s in edge)
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
         return self.is_nonnegative and self.marking_count >= 1
 
@@ -461,18 +461,33 @@ def canonical_serialize(d: DecoratedGaussDiagram | TDiagram) -> str:
     g = d.base
     if g.n == 0:
         marks = d.markings[0]
-        if marks:
-            rotations = [marks[r:] + marks[:r] for r in range(len(marks))]
-            marks = min(rotations)
-        return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, (marks,), 0)
-    edge_count = g.edge_count
-    best_shift = None
-    best_tuple = None
-    for r in g._tied_rotations:
-        rotated = tuple(d.markings[(e + r) % edge_count] for e in range(edge_count))
-        if best_tuple is None or rotated < best_tuple:
-            best_tuple, best_shift = rotated, r
-    return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, d.markings, best_shift)
+        r = _least_rotation(marks)
+        return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, (marks[r:] + marks[:r],), 0)
+    shift = 0
+    if len(g._tied_rotations) > 1:  # ties at 0, p, 2p, ...: compare blocks of p edges
+        p = g._tied_rotations[1]
+        shift = p * _least_rotation([d.markings[b:b + p] for b in range(0, g.edge_count, p)])
+    return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, d.markings, shift)
+
+
+def _least_rotation(seq) -> int:
+    """The least start of the least rotation of ``seq``, O(len) by the
+    two-pointer scan: when the rotations at ``i`` and ``j`` first differ
+    ``k`` items in, the greater one's starts up to ``k`` on are beaten too."""
+    n, i, j, k = len(seq), 0, 1, 0
+    while j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        i, j, k = min(i, j), max(i, j), 0
+    return i
 
 
 _TOKEN_KINDS = ("H", "T")

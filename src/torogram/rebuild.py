@@ -52,33 +52,22 @@ class _Web:
 
     def __init__(self, t: TDiagram):
         base = t.base
-        k = t.marking_count
-        if k == 0:
+        signs: list[int] = []
+        arcs: list[list[int]] = []
+        lead: list[int] = []  # the tokens before the first marking close the last arc
+        for e, row in enumerate(t.markings):
+            if base.n:
+                (arcs[-1] if arcs else lead).append(e)
+            for s in row:
+                signs.append(s)
+                arcs.append([])
+        if not arcs:
             raise NotRealRealizable("nothing to cut: the refinement has no markings")
-        marks = t.markings_in_order()
+        arcs[-1] += lead
         self.t = t
         self.base = base
-        self.k = k
-        self.signs = [s for _, _, s in marks]
-
-        events: list[tuple[str, int]] = []
-        for e in range(base.edge_count):
-            if base.n:
-                events.append(("tok", e))
-            for j, (edge, _, _) in enumerate(marks):
-                if edge == e:
-                    events.append(("mark", j))
-        first = events.index(("mark", 0))
-        rotated = events[first:] + events[:first]
-        arcs: list[list[int]] = [[]]
-        for kind, v in rotated[1:]:
-            if kind == "mark":
-                arcs.append([])
-            else:
-                arcs[-1].append(v)
-        if len(arcs) != k:
-            raise RuntimeError("the cut does not give one arc per marking")
-        self.arcs = arcs
+        self.k = k = len(arcs)
+        self.signs = signs
         self.segs = [len(a) + 1 for a in arcs]
 
         self.at: dict[int, tuple[int, int]] = {}
@@ -486,32 +475,6 @@ def _birth_cap(web, wires, slices, placed) -> bool:
     return False
 
 
-def _birth_hanging_arc(web, wires, slices, tops) -> bool:
-    """An arc with no crossings and both ends on top only appears once the
-    sweep reaches its height; nothing can nest inside it, so its two columns
-    are adjacent."""
-    if any(web.vertex_of[w.target][0] != "end" for w in wires):
-        return False
-    for arc in range(web.k):
-        if web.arcs[arc] or any(w.edge[0] == arc for w in wires):
-            continue
-        if web.end_is_bottom(arc, 0) or web.end_is_bottom(arc, 1):
-            continue
-        c0, c1 = tops.index((arc, 0)), tops.index((arc, 1))
-        if abs(c0 - c1) != 1:
-            raise RuntimeError("a hanging strand split at the top")
-        current = [tops.index((web.vertex_of[w.target][1], web.vertex_of[w.target][2]))
-                   for w in wires]
-        insert = sum(1 for c in current if c < min(c0, c1))
-        wl = _Wire((arc, 0), (arc, 0, 0), -1)
-        wr = _Wire((arc, 0), (arc, 0, 1), 1)
-        pair = [wl, wr] if c0 < c1 else [wr, wl]
-        slices.append(Cap(insert + 1, pair[0].direction))
-        wires[insert:insert] = pair
-        return True
-    return False
-
-
 def _sweep(web: _Web, columns: tuple[int, ...]) -> SliceWord:
     """Draw the picture as stacked slices, sweeping bottom to top; the knot
     meets the glued boundary exactly at the chosen columns."""
@@ -527,12 +490,14 @@ def _sweep(web: _Web, columns: tuple[int, ...]) -> SliceWord:
             wires.append(_Wire((prev, last), (prev, last, 0), -1))
     slices: list = []
     placed: set = set()
+    # no rule births a crossing-free arc: one with both ends on top needs a
+    # -1 marking right before a +1 on one edge, and a refinement built from
+    # counts puts one sign on each edge
     for _ in range(4 * (sum(web.segs) + k) + 8):
         if not (
             _close_cup(web, wires, slices, placed)
             or _draw_crossing(web, wires, slices, placed)
             or _birth_cap(web, wires, slices, placed)
-            or _birth_hanging_arc(web, wires, slices, tops)
         ):
             break
     else:

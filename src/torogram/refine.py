@@ -19,8 +19,7 @@ from .admit import (
     NOT_WEAKLY,
     TransitionGraph,
     _admissibility,
-    bellman_ford,
-    negative_cycle,
+    _pessimal_cycle,
     transition_graph,
 )
 from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid, validate
@@ -197,27 +196,31 @@ def minimal_refinement(g: DecoratedGaussDiagram) -> TDiagram:
 
     Minimizing ``sum |x_e|`` over potentials is a linear program; its dual
     is a circulation ``-1 <= f_e <= 1`` of cost ``sum w_e f_e`` (``w`` the
-    reference counts), with optimum minus the least marking count.  Negative
-    residual cycles are cancelled one unit at a time, each lowering the cost
-    by at least 1.  By complementary slackness the minimal count vectors are
-    then exactly those with ``x_e = 0`` where ``f_e = 0``, ``x_e >= 0`` where
-    ``f_e = -1`` and ``x_e <= 0`` where ``f_e = +1``: the residual arcs are
-    their constraint arcs, and the lexicographic core picks the least.
+    reference counts), with optimum minus the least marking count.  The
+    search starts from the circle flow ``f_e = -sign(c)``, ``c`` the circle
+    valuation, a circulation since the circle walks the transition graph.
+    Every refinement's counts sum to ``c``, so it has at least ``|c|``
+    markings, and the circle flow's cost ``-|c|`` is already optimal whenever
+    a one-signed refinement exists.  Otherwise negative residual cycles are
+    cancelled one unit at a time, each lowering the cost by at least 1.  By
+    complementary slackness with any optimal flow, the minimal count vectors
+    are exactly those with ``x_e = 0`` where ``f_e = 0``, ``x_e >= 0`` where
+    ``f_e = -1`` and ``x_e <= 0`` where ``f_e = +1``, so the optimal face does
+    not depend on where the search starts: the residual arcs are their
+    constraint arcs, and the lexicographic core picks the least.
     """
     tg = transition_graph(g)
     m = len(tg.edges)
-    flow = [0] * m
+    c = g.circle_valuation
+    flow = [(c < 0) - (c > 0)] * m
     while True:
         # forward arc e raises f_e at cost w_e, backward arc e + m lowers it at -w_e
         arcs = [(u, v, w, e) for (u, v, w, e) in tg.edges if flow[e] < 1]
         arcs += [(v, u, -w, e + m) for (u, v, w, e) in tg.edges if flow[e] > -1]
-        residual = TransitionGraph(tg.vertex_count, tuple(arcs))
-        cycle = negative_cycle(residual)
+        scale = len(arcs) + 1
+        cycle, dist = _pessimal_cycle(TransitionGraph(tg.vertex_count, tuple(arcs)), scale, 1)
         if cycle is None:
-            dist, _, last = bellman_ford(residual)
-            if last is not None:
-                raise RuntimeError("the sign constraints have a negative cycle")
-            return _refinement(g, tg, dist, [-f for f in flow])
+            return _refinement(g, tg, [d // scale for d in dist], [-f for f in flow])
         for a in cycle:
             flow[a % m] += 1 if a < m else -1
 

@@ -360,6 +360,16 @@ def brute_least_rotations(tokens, arrows) -> tuple[int, ...]:
     return tuple(ties)
 
 
+def brute_least_rotation(seq) -> int:
+    """Every rotation listed in full, O(len^2): the reference for
+    ``diagrams._least_rotation``.  The first start wins a tie."""
+    best = 0
+    for r in range(1, len(seq)):
+        if seq[r:] + seq[:r] < seq[best:] + seq[:best]:
+            best = r
+    return best
+
+
 def brute_level_decomposition(t) -> dict[int, int]:
     """Round-by-round peel that rescans every live token each round, O(n*m):
     the reference for ``admit.level_decomposition`` (the positivity check is

@@ -381,3 +381,26 @@ def test_represent_draws_an_800_crossing_closure_as_its_braid():
     assert len(word.slices) == len(letters)
     virtual = sum(isinstance(s, VirtualCross) for s in word.slices)
     assert virtual == sum(letter.kind == "v" for letter in letters)
+
+
+def test_a_bare_circle_of_five_thousand_marks_serializes_fast():
+    # every rotation of the marks, listed to take their least, took about 0.7 s
+    t = TDiagram(DecoratedGaussDiagram((), (), 0), ((1, -1) * 2500,))
+    t0 = time.perf_counter()
+    text = canonical_serialize(t)
+    assert time.perf_counter() - t0 < 0.1
+    assert text.split("\n")[2] == "seq " + " ".join(["M-", "M+"] * 2500)
+
+
+def test_an_800_crossing_closure_refines_minimally_and_rebuilds_fast():
+    # cancelling cycles from the zero flow took 0.65-0.93 s for each
+    rng = random.Random(800)
+    g = extract_tdiagram(braid_to_sliceword(_knotted_braid(rng, 5, 800))).base
+    t0 = time.perf_counter()
+    t = minimal_refinement(g)
+    assert time.perf_counter() - t0 < 0.1
+    assert canonical_serialize(t) == canonical_serialize(non_negative_refinement(g))
+    t0 = time.perf_counter()
+    drawn = reconstruct(g)
+    assert time.perf_counter() - t0 < 0.25
+    assert drawn.refinement == t

@@ -30,7 +30,7 @@ from torogram import (
 from torogram.braid import braid_to_sliceword, parse_braid
 from torogram.slices import extract_tdiagram
 
-from torogram.diagrams import _least_rotations
+from torogram.diagrams import _least_rotation, _least_rotations
 
 from gen import (
     dgd_diagrams,
@@ -41,7 +41,7 @@ from gen import (
     scrambled_tdiagram,
     t_diagrams,
 )
-from oracles import brute_least_rotations
+from oracles import brute_least_rotation, brute_least_rotations
 
 MARKED_THREE = """\
 circle 2
@@ -352,6 +352,26 @@ arrow 3 sign + val 2
             assert t.base._tied_rotations == (0, 2, 4)
             assert canonical_serialize(t) == expected
             assert canonical_serialize(parse_diagram(_raw_text(t))) == expected
+
+
+def test_least_rotation_matches_the_full_scan():
+    rng = random.Random(6001)
+    for _ in range(3000):
+        word = tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 12)))
+        periodic = word[: rng.randint(1, 4)] * rng.randint(2, 6)
+        for seq in (word, periodic):
+            assert _least_rotation(seq) == brute_least_rotation(seq)
+    # the serializer's blocks of tied edges compare as tuples of marking rows
+    blocks_tied = 0
+    for _ in range(1500):
+        t = periodic_tdiagram(rng, periodic=rng.random() < 0.5)
+        ties = t.base._tied_rotations
+        if len(ties) > 1:
+            p = ties[1]
+            blocks = [t.markings[b:b + p] for b in range(0, len(t.markings), p)]
+            assert _least_rotation(blocks) == brute_least_rotation(blocks)
+            blocks_tied += 1
+    assert blocks_tied > 300
 
 
 def test_least_rotations_match_the_full_key_scan():

@@ -35,7 +35,7 @@ from torogram.refine import (
     non_negative_refinement,
     positive_refinement,
 )
-from torogram.slices import extract_tdiagram
+from torogram.slices import SliceWord, extract_tdiagram
 
 from gen import random_dgd, random_tdiagram, scrambled_copy, scrambled_tdiagram, t_diagrams
 from oracles import (
@@ -416,19 +416,22 @@ REFINEMENT_SHA256 = "e6d6b56b7113ba594d48cb227fed89a85ac5bc52f755ff4971ec9c967ac
 
 def _braid_closure(rng, strands, letters, positive):
     while True:
-        word = tuple(
+        letters_drawn = tuple(
             Letter("s" if positive or rng.random() < 0.7 else "S", rng.randint(1, strands - 1))
             for _ in range(letters)
         )
         try:
-            return extract_tdiagram(braid_to_sliceword(VirtualBraidWord(strands, word))).base
+            word = VirtualBraidWord(strands, letters_drawn)
         except InvalidDiagram:  # the closure is a link
             continue
+        return word, extract_tdiagram(braid_to_sliceword(word)).base
 
 
-def _refinement_texts() -> list[str]:
+def _refinement_corpus():
+    """The diagrams of the frozen corpus, and its braid closures as (word,
+    closure, scrambled copy)."""
     rng = random.Random(20261018)
-    diagrams = []
+    diagrams, closures = [], []
     for n in range(9):
         for _ in range(8):
             g = random_dgd(rng, n=n)
@@ -438,8 +441,14 @@ def _refinement_texts() -> list[str]:
             if (letters - strands + 1) % 2:
                 letters += 1
             for positive in (True, False):
-                g = _braid_closure(rng, strands, letters, positive)
-                diagrams += [g, scrambled_copy(g, rng)]
+                word, g = _braid_closure(rng, strands, letters, positive)
+                closures.append((word, g, scrambled_copy(g, rng)))
+                diagrams += closures[-1][1:]
+    return diagrams, closures
+
+
+def _refinement_texts() -> list[str]:
+    diagrams, _ = _refinement_corpus()
     out = []
     for g in diagrams:
         verdict = check_admissible(g).verdict
@@ -452,7 +461,32 @@ def _refinement_texts() -> list[str]:
     return out
 
 
+# sha256 of _minimal_texts() as computed by cancelling cycles from the zero
+# flow, one Bellman-Ford per cycle; pins minimal refinements past n = 8
+MINIMAL_SHA256 = "b4a223807ecefc145159023337d1adaa1bfb27cf3b30a4dd6c3e882a66d26b3b"
+
+
+def _minimal_texts() -> list[str]:
+    """Minimal refinements of the corpus closures with n > 8, their scrambled
+    copies, and their orientation reverses: the same letters over downward
+    strands, so the circle valuation is negative."""
+    rng = random.Random(20261019)
+    diagrams = []
+    for word, g, copy in _refinement_corpus()[1]:
+        if g.n > 8:
+            drawn = braid_to_sliceword(word)
+            reverse = extract_tdiagram(SliceWord((-1,) * word.strands, drawn.slices)).base
+            diagrams += [g, copy, reverse, scrambled_copy(reverse, rng)]
+    return [canonical_serialize(minimal_refinement(g)) for g in diagrams]
+
+
 def test_refinements_are_byte_identical_to_the_frozen_corpus():
     texts = _refinement_texts()
     assert len(texts) == 366
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == REFINEMENT_SHA256
+
+
+def test_minimal_refinements_at_size_are_byte_identical_to_the_frozen_corpus():
+    texts = _minimal_texts()
+    assert len(texts) == 96
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == MINIMAL_SHA256
