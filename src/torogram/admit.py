@@ -7,8 +7,6 @@ negative, so callers can re-check the claim with ``loop_homology``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagrams import (
     ArrowJump,
     CircleForward,
@@ -17,6 +15,7 @@ from .diagrams import (
     TDiagram,
     loop_homology,
     loop_to_json,
+    record,
 )
 from .errors import NoLevels, NotPositive
 
@@ -25,7 +24,7 @@ WEAKLY_ONLY = "weakly_only"
 NOT_WEAKLY = "not_weakly"
 
 
-@dataclass(frozen=True)
+@record
 class TransitionGraph:
     """Directed multigraph tracking how loops hop between arrows.
 
@@ -143,7 +142,7 @@ def _has_tight_cycle(tg: TransitionGraph, pi: list[int]) -> bool:
     return len(free) < len(pi)
 
 
-@dataclass(frozen=True)
+@record
 class AdmissibilityReport:
     verdict: str  # one of ADMISSIBLE, WEAKLY_ONLY, NOT_WEAKLY
     certificate: DiagramLoop | None

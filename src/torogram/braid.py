@@ -8,10 +8,8 @@ positive T-diagram into such a word, one crossing band per level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .admit import level_decomposition
-from .diagrams import DecoratedGaussDiagram, TDiagram
+from .diagrams import DecoratedGaussDiagram, TDiagram, record
 from .errors import InvalidDiagram, ParseError
 from .refine import positive_refinement
 from .slices import RealCross, SliceWord, VirtualCross
@@ -19,19 +17,22 @@ from .slices import RealCross, SliceWord, VirtualCross
 _KINDS = {"s": 1, "S": -1, "v": 0}
 
 
-@dataclass(frozen=True)
+@record
 class Letter:
     kind: str
     index: int
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidDiagram(f"unknown braid letter kind {self.kind!r}")
-        if self.index < 1:
-            raise InvalidDiagram(f"braid letter index {self.index} out of range")
+    def __init__(self, kind: str, index: int):
+        if kind not in _KINDS:
+            raise InvalidDiagram(f"unknown braid letter kind {kind!r}")
+        if index < 1:
+            raise InvalidDiagram(f"braid letter index {index} out of range")
+        d = self.__dict__  # past the frozen __setattr__
+        d["kind"] = kind
+        d["index"] = index
 
 
-@dataclass(frozen=True)
+@record
 class VirtualBraidWord:
     strands: int
     letters: tuple[Letter, ...]

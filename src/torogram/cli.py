@@ -316,7 +316,11 @@ def _emit(ns, result: Result) -> int:
         return code
     payload = json.dumps(data, indent=2) + "\n" if ns.json else text.rstrip("\n") + "\n"
     if ns.out:
-        Path(ns.out).write_text(payload)
+        try:
+            Path(ns.out).write_text(payload)
+        except OSError as e:  # not a verdict: exit 1 would certify a negative
+            _fail(ns, {"error": str(e)})
+            return 2
     else:
         sys.stdout.write(payload)
     return code
@@ -338,13 +342,23 @@ _HELP = {
 }
 
 
+def _worker_count(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"needs a whole number of workers >= 1, got {text!r}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", metavar="PATH", help="write the payload to a file")
     common.add_argument(
         "--parallel",
-        type=int,
+        type=_worker_count,
         metavar="K",
         help="worker processes for directory inputs",
     )

@@ -16,12 +16,79 @@ T-diagram serializes from the tied rotation with the least marking tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram, ParseError
+
+
+def record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+    """Class decorator for value records: ``@dataclass`` without its import.
+
+    The fields are the class annotations, in order.  The record gets an
+    ``__init__`` taking them by position or by name, then calling
+    ``__post_init__`` (unless the class writes its own ``__init__``); the
+    dataclass repr; ``__eq__`` over the fields, between records of one class
+    only; and, when frozen, ``__hash__`` over the same fields and a
+    ``__setattr__``/``__delattr__`` that raise :class:`AttributeError`.  A
+    mutable record is unhashable.  Fields named in ``hidden`` stay out of
+    repr, eq and hash.  Nothing is compiled at run time: importing
+    ``dataclasses`` (it loads ``inspect``) and compiling the source of its
+    generated methods cost every CLI process ~25 ms.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen, hidden=hidden)
+    names = tuple(cls.__annotations__)
+    count = len(names)
+    shown = tuple(f for f in names if f not in hidden)
+    key = attrgetter(*shown)
+    single = len(shown) == 1
+    post = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(cls.__name__, names, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post is not None:
+            post(self)
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in shown)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):  # the hash of the field tuple, as a dataclass has it
+        return hash((key(self),) if single else key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__, "__hash__": None}
+    if frozen:
+        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
+    for name, method in methods.items():
+        if name not in cls.__dict__:  # a method the class writes itself stays
+            setattr(cls, name, method)
+    return cls
+
+
+def _bind(name: str, fields: tuple[str, ...], args: tuple, kwargs: dict) -> list:
+    """The field values, in order, of a record call with keywords or a wrong count."""
+    values = dict(zip(fields, args))
+    if len(args) > len(fields) or kwargs.keys() != set(fields) - values.keys():
+        raise TypeError(f"{name}() takes each of the fields {', '.join(fields)} once, "
+                        f"got {len(args)} by position and {sorted(kwargs)} by name")
+    values.update(kwargs)
+    return [values[f] for f in fields]
 
 
 class Token(NamedTuple):
@@ -29,17 +96,21 @@ class Token(NamedTuple):
     arrow: int
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     id: int
     sign: int
     valuation: int
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise InvalidDiagram(f"arrow id must be >= 1, got {self.id}")
-        if self.sign not in (1, -1):
-            raise InvalidDiagram(f"arrow sign must be +1 or -1, got {self.sign}")
+    def __init__(self, id: int, sign: int, valuation: int) -> None:
+        if id < 1:
+            raise InvalidDiagram(f"arrow id must be >= 1, got {id}")
+        if sign not in (1, -1):
+            raise InvalidDiagram(f"arrow sign must be +1 or -1, got {sign}")
+        d = self.__dict__  # past the frozen __setattr__
+        d["id"] = id
+        d["sign"] = sign
+        d["valuation"] = valuation
 
 
 def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tuple[int, ...]:
@@ -94,17 +165,16 @@ def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tup
     return tuple(range(min(live, key=decorations), m, p))
 
 
-@dataclass(frozen=True)
+@record
 class DecoratedGaussDiagram:
     """Arrow endpoints on the circle plus signs, valuations and the circle valuation."""
 
     tokens: tuple[Token, ...]
     arrows: tuple[Arrow, ...]
     circle_valuation: int
-    # the input rotation the stored tokens start at
-    _rotation: int = field(init=False, repr=False, compare=False)
-    # rotations of the stored tokens tying for the least key; starts with 0
-    _tied_rotations: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # set by __post_init__, outside init, repr and compare: the input rotation
+    # the stored tokens start at (_rotation), and the rotations of the stored
+    # tokens tying for the least key, starting with 0 (_tied_rotations)
 
     def __post_init__(self) -> None:
         tokens = tuple(Token(k, a) for k, a in self.tokens)
@@ -211,7 +281,7 @@ class DecoratedGaussDiagram:
         return canonical_serialize(self)
 
 
-@dataclass(frozen=True)
+@record
 class TDiagram:
     """A decorated Gauss diagram with ordered signed markings on every edge."""
 
@@ -281,14 +351,14 @@ def assemble_tdiagram(
     return TDiagram(g, tuple(marks[(e + g._rotation) % m] for e in range(m)))
 
 
-@dataclass(frozen=True)
+@record
 class CircleForward:
     """Advance along the circle across one edge, in the circle orientation."""
 
     edge: int
 
 
-@dataclass(frozen=True)
+@record
 class ArrowJump:
     """Cross an arrow from one endpoint to the other; ``to`` names the landing end."""
 
@@ -296,7 +366,7 @@ class ArrowJump:
     to: str  # "head" or "tail"
 
 
-@dataclass(frozen=True)
+@record
 class DiagramLoop:
     steps: tuple[CircleForward | ArrowJump, ...]
 
@@ -364,7 +434,7 @@ def is_full(g: DecoratedGaussDiagram) -> bool:
     return g.circle_valuation != 0 or any(a.valuation != 0 for a in g.arrows)
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     arrow_violations: tuple[tuple[int, int, int], ...]  # (arrow id, expected, actual)

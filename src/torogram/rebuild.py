@@ -16,13 +16,12 @@ in knot order.  Vertices are crossings ``("x", id)`` and loose ends
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagrams import (
     DecoratedGaussDiagram,
     TDiagram,
     canonical_serialize,
     is_full,
+    record,
     require_valid,
 )
 from .errors import InvalidDiagram, NotFull, NotRealRealizable
@@ -120,15 +119,11 @@ class _Web:
         return (a, 0, 0) if side == 0 else (a, self.segs[a] - 1, 1)
 
 
-def _faces(rotation: dict) -> list[tuple[Dart, ...]]:
-    """Orbits of dart -> rotation successor of its reverse, sorted by least dart."""
-    succ: dict[Dart, Dart] = {}
-    for ring in rotation.values():
-        for i, d in enumerate(ring):
-            succ[d] = ring[(i + 1) % len(ring)]
+def _faces(succ: dict[Dart, Dart]) -> list[tuple[Dart, ...]]:
+    """Orbits of dart -> rotation successor of its reverse."""
     seen: set[Dart] = set()
     faces = []
-    for d0 in sorted(succ):
+    for d0 in succ:
         if d0 in seen:
             continue
         face = []
@@ -169,19 +164,14 @@ def _components(web: _Web) -> list[list[int]]:
     return sorted(groups.values(), key=min)
 
 
-def _component_ends(web: _Web, arcs: list[int]):
-    """(bottoms, tops) of one piece, left to right, or the reason it fails."""
-    arcset = set(arcs)
-    rotation = {v: ring for v, ring in web.rotation.items() if ring[0][0] in arcset}
-    faces = _faces(rotation)
-    vcount = len(rotation)
-    ecount = sum(web.segs[a] for a in arcs)
-    if vcount - ecount + len(faces) != 2:
+def _component_ends(web: _Web, arcs: list[int], faces, where: dict[Dart, int]):
+    """(bottoms, tops) of one piece, left to right, or the reason it fails;
+    ``where`` numbers the face of every dart, and no face crosses pieces."""
+    darts = [(a, i, side) for a in arcs for i in range(web.segs[a]) for side in (0, 1)]
+    vcount = len({web.vertex_of[d] for d in darts})
+    fcount = len({where[d] for d in darts})
+    if vcount - len(darts) // 2 + fcount != 2:
         raise NotRealRealizable("a tangle piece does not draw flat in the plane")
-    where: dict[Dart, int] = {}
-    for idx, face in enumerate(faces):
-        for d in face:
-            where[d] = idx
     outer_ids = {where[web.end_dart(a, s)] for a in arcs for s in (0, 1)}
     if len(outer_ids) != 1:
         raise NotRealRealizable("loose ends of a piece spread over several faces")
@@ -200,7 +190,8 @@ def _component_ends(web: _Web, arcs: list[int]):
     start = next(i for i in range(len(flags)) if flags[i] and not flags[i - 1])
     ordered = seq[start:] + seq[:start]
     nb = sum(flags)
-    # walking the outer face lists bottoms left to right but tops right to left
+    # walking the outer face lists bottoms left to right but tops right to
+    # left; the start at the one bottom-after-top switch fixes the order
     return ordered[:nb], list(reversed(ordered[nb:]))
 
 
@@ -251,25 +242,21 @@ def _order_components(web: _Web, comp_ends: list[tuple[list, list]]):
 def _glued_face_check(web: _Web) -> None:
     """Merge mated ends and demand an annulus: crossings + 2 faces, and the
     multiset of face winding classes exactly {+1, -1, 0, ...}."""
-    rotation = {v: ring for v, ring in web.rotation.items() if v[0] == "x"}
+    succ = dict(web.succ)  # a loose end is its own successor until glued
     for j in range(web.k):
-        prev = (j - 1) % web.k
-        before = (prev, web.segs[prev] - 1, 1)
-        after = (j, 0, 0)
-        rotation[("m", j)] = (before, after)
-    faces = _faces(rotation)
+        before, after = web.end_dart((j - 1) % web.k, 1), web.end_dart(j, 0)
+        succ[before], succ[after] = after, before
+    faces = _faces(succ)
     if len(faces) != web.base.n + 2:
         raise NotRealRealizable("the glued surface is not an annulus")
-    owner = {d: v for v, ring in rotation.items() for d in ring}
     classes = []
     for face in faces:
         c = 0
         for d in face:
-            x = _alpha(d)
-            v = owner[x]
-            if v[0] == "m":
-                before, _ = rotation[v]
-                c += web.signs[v[1]] if x == before else -web.signs[v[1]]
+            v = web.vertex_of[_alpha(d)]
+            if v[0] == "end":  # across the cut at marking j: +sign into it, -sign out
+                j = web.end_marking(v[1], v[2])
+                c += web.signs[j] if v[2] == 1 else -web.signs[j]
         classes.append(c)
     if sorted(classes) != sorted([1, -1] + [0] * web.base.n):
         raise NotRealRealizable("the glued faces wind wrongly around the annulus")
@@ -283,7 +270,7 @@ def _vertex_label(v: tuple) -> str:
     return f"x{v[1]}" if v[0] == "x" else f"end{v[1]}.{v[2]}"
 
 
-@dataclass(frozen=True)
+@record
 class ComponentMap:
     """One tangle piece: its arcs and crossings, the rotation system that
     pins down the drawing, and its strand ends left to right on each side."""
@@ -295,7 +282,7 @@ class ComponentMap:
     tops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(hidden=("word",))
 class AnnularDiagram:
     """A real diagram of the annulus: tangle pieces in left-to-right order
     plus, per boundary column, the marking whose cut point sits there, and
@@ -304,7 +291,7 @@ class AnnularDiagram:
     refinement: TDiagram
     components: tuple[ComponentMap, ...]
     column_markings: tuple[int, ...]
-    word: SliceWord = field(repr=False, compare=False)
+    word: SliceWord
 
 
 def _component_map(web: _Web, arcs: list[int], ends) -> ComponentMap:
@@ -336,7 +323,9 @@ def _realize(g: DecoratedGaussDiagram):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
     web = _Web(minimal_refinement(g))
     comps = _components(web)
-    comp_ends = [_component_ends(web, arcs) for arcs in comps]
+    faces = _faces(web.succ)
+    where = {d: i for i, face in enumerate(faces) for d in face}
+    comp_ends = [_component_ends(web, arcs, faces, where) for arcs in comps]
     order, bottoms, _ = _order_components(web, comp_ends)
     _glued_face_check(web)
     columns = tuple(web.end_marking(*e) for e in bottoms)
@@ -385,7 +374,7 @@ def annular_to_json(a: AnnularDiagram) -> dict:
 # -- drawing as a slice word --------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class _Wire:
     """A strand being drawn: the edge it is on, the dart at the vertex it is
     heading for, and the knot direction (+1 along the sweep)."""
@@ -393,6 +382,11 @@ class _Wire:
     edge: tuple[int, int]
     target: Dart
     direction: int
+
+    def __init__(self, edge: tuple[int, int], target: Dart, direction: int):
+        self.edge = edge
+        self.target = target
+        self.direction = direction
 
 
 def _push(web: _Web, exit_dart: Dart) -> _Wire:

@@ -11,7 +11,6 @@ vectors under one sign constraint per edge, found by one core, ``_lex_least``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .admit import (
@@ -22,7 +21,14 @@ from .admit import (
     _pessimal_cycle,
     transition_graph,
 )
-from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid, validate
+from .diagrams import (
+    DecoratedGaussDiagram,
+    TDiagram,
+    canonical_serialize,
+    record,
+    require_valid,
+    validate,
+)
 from .errors import InvalidDiagram, NotAdmissible, NotWeaklyAdmissible
 
 
@@ -228,7 +234,7 @@ def minimal_refinement(g: DecoratedGaussDiagram) -> TDiagram:
 # -- moves ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TypeIInsert:
     """Insert a cancelling marking pair (sign, -sign) at a position on an edge."""
 
@@ -237,7 +243,7 @@ class TypeIInsert:
     sign: int
 
 
-@dataclass(frozen=True)
+@record
 class TypeIDelete:
     """Delete the adjacent opposite pair sitting at (pos, pos + 1) on an edge."""
 
@@ -245,7 +251,7 @@ class TypeIDelete:
     pos: int
 
 
-@dataclass(frozen=True)
+@record
 class TypeIIPlus:
     """Push a +1 past each token of the arrow: prepend +1 on the edges after
     its endpoints, append -1 on the edges before them."""
@@ -253,7 +259,7 @@ class TypeIIPlus:
     arrow: int
 
 
-@dataclass(frozen=True)
+@record
 class TypeIIMinus:
     """Mirror of :class:`TypeIIPlus` with both signs flipped."""
 

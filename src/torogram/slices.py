@@ -9,12 +9,11 @@ realizing any given T-diagram.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 from .admit import level_decomposition
-from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
+from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram, record
 from .errors import InvalidDiagram, NoLevels, ParseError
 
 
@@ -23,7 +22,7 @@ def _check_sign(value: int, what: str) -> None:
         raise InvalidDiagram(f"{what} must be +1 or -1, got {value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RealCross:
     """Crossing of the strands at columns (position, position + 1).
 
@@ -34,22 +33,26 @@ class RealCross:
     position: int
     sign: int
 
-    def __post_init__(self):
-        _check_sign(self.sign, "crossing sign")
-        if self.position < 1:
-            raise InvalidDiagram(f"column {self.position} out of range")
+    def __init__(self, position: int, sign: int):
+        _check_sign(sign, "crossing sign")
+        if position < 1:
+            raise InvalidDiagram(f"column {position} out of range")
+        d = self.__dict__  # past the frozen __setattr__
+        d["position"] = position
+        d["sign"] = sign
 
 
-@dataclass(frozen=True)
+@record
 class VirtualCross:
     position: int
 
-    def __post_init__(self):
-        if self.position < 1:
-            raise InvalidDiagram(f"column {self.position} out of range")
+    def __init__(self, position: int):
+        if position < 1:
+            raise InvalidDiagram(f"column {position} out of range")
+        self.__dict__["position"] = position
 
 
-@dataclass(frozen=True)
+@record
 class Cap:
     """Birth of two new adjacent strands at (position, position + 1); the left
     one carries left_direction, the right one its opposite."""
@@ -57,28 +60,32 @@ class Cap:
     position: int
     left_direction: int
 
-    def __post_init__(self):
-        _check_sign(self.left_direction, "cap direction")
-        if self.position < 1:
-            raise InvalidDiagram(f"column {self.position} out of range")
+    def __init__(self, position: int, left_direction: int):
+        _check_sign(left_direction, "cap direction")
+        if position < 1:
+            raise InvalidDiagram(f"column {position} out of range")
+        d = self.__dict__
+        d["position"] = position
+        d["left_direction"] = left_direction
 
 
-@dataclass(frozen=True)
+@record
 class Cup:
     """Death of the two adjacent strands at (position, position + 1), which
     must run in opposite directions."""
 
     position: int
 
-    def __post_init__(self):
-        if self.position < 1:
-            raise InvalidDiagram(f"column {self.position} out of range")
+    def __init__(self, position: int):
+        if position < 1:
+            raise InvalidDiagram(f"column {position} out of range")
+        self.__dict__["position"] = position
 
 
 Slice = RealCross | VirtualCross | Cap | Cup
 
 
-@dataclass(frozen=True)
+@record
 class SliceWord:
     bottom: tuple[int, ...]
     slices: tuple[Slice, ...]
@@ -91,7 +98,7 @@ class SliceWord:
                 raise InvalidDiagram(f"not a slice: {s!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SliceReport:
     ok: bool
     problems: tuple[str, ...]

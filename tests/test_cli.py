@@ -359,11 +359,12 @@ def test_batch_parallel_json_collects_results(capsys, tmp_path):
 
 
 def test_cli_start_up_leaves_multiprocessing_unloaded():
-    # only --parallel needs a pool; every library module still loads, since
-    # the benchmark's spans install into each of them
+    # only --parallel needs a pool, and the value records are built without
+    # dataclasses (which loads inspect); every library module still loads,
+    # since the benchmark's spans install into each of them
     probe = (
         "import sys, torogram.cli; "
-        "print('multiprocessing' in sys.modules, "
+        "print([m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules], "
         "sorted(m for m in sys.modules if m.startswith('torogram.')))"
     )
     src = str(Path(torogram.cli.__file__).parents[1])
@@ -374,10 +375,34 @@ def test_cli_start_up_leaves_multiprocessing_unloaded():
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    loaded, modules = done.stdout.split(" ", 1)
-    assert loaded == "False"
+    loaded, modules = done.stdout.split("] ", 1)
+    assert loaded == "["
     for name in ("admit", "braid", "diagrams", "rebuild", "refine", "slices"):
         assert f"'torogram.{name}'" in modules
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_out_write_failure_exits_two(capsys, trefoil, tmp_path, json_flag):
+    # exit 1 is a certified negative verdict; a payload that cannot be
+    # written is an input error
+    flags = ["--json"] if json_flag else []
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, "admissible", trefoil, "--out", str(target), *flags)
+        assert code == 2
+        if json_flag:
+            assert str(target) in json.loads(out)["error"]
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_parallel_below_one_is_a_usage_error(capsys, tmp_path, k):
+    (tmp_path / "a.gd").write_text(TREFOIL)
+    code, out, err = run(capsys, "admissible", str(tmp_path), "--parallel", k)
+    assert (code, out) == (2, "")
+    assert "--parallel" in err
 
 
 def test_batch_rejects_two_input_commands(capsys, tmp_path):

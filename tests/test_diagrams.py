@@ -389,3 +389,59 @@ def test_least_rotations_match_the_full_key_scan():
         periodic_ties += len(ties) > 1
     # period collapse is exercised, not only elimination
     assert periodic_ties > 1000
+
+
+def test_value_records_keep_dataclass_semantics():
+    from torogram.braid import Letter, VirtualBraidWord
+    from torogram.rebuild import _Wire, reconstruct
+    from torogram.refine import TypeIInsert, TypeIIMinus, TypeIIPlus
+    from torogram.slices import Cap, Cup, RealCross, SliceWord, VirtualCross
+
+    g = DecoratedGaussDiagram((("T", 1), ("H", 1)), (Arrow(1, -1, 0),), 1)
+    with pytest.raises(AttributeError):
+        g.circle_valuation = 2
+    with pytest.raises(AttributeError):
+        del RealCross(1, 1).sign
+    # equality holds within one class only; equal records hash equal
+    assert TypeIIPlus(1) != TypeIIMinus(1) and Cup(1) != VirtualCross(1)
+    assert RealCross(position=2, sign=-1) == RealCross(2, -1)
+    assert TypeIInsert(sign=1, edge=0, pos=2) == TypeIInsert(0, pos=2, sign=1)
+    for bad in ((), (1, 2)):
+        with pytest.raises(TypeError):
+            TypeIIPlus(*bad)
+    with pytest.raises(TypeError):
+        TypeIIPlus(1, arrow=1)
+    assert hash(RealCross(2, -1)) == hash(RealCross(2, -1)) == hash((2, -1))
+    assert len({Letter("s", 1), Letter("s", 1), Letter("S", 1)}) == 2
+    # the rotation caches and the swept word stay out of == and repr
+    twin = DecoratedGaussDiagram((("H", 1), ("T", 1)), (Arrow(1, -1, 0),), 1)
+    assert (g._rotation, twin._rotation) == (1, 0) and g == twin and hash(g) == hash(twin)
+    a = reconstruct(DecoratedGaussDiagram((), (), 1))
+    assert "word" not in repr(a) and "_rotation" not in repr(g)
+    assert a == type(a)(a.refinement, a.components, a.column_markings, word=None)
+    w = _Wire((0, 1), (0, 1, 1), 1)
+    w.direction = -1
+    assert w.__hash__ is None
+    # repr text as the dataclasses printed it
+    assert repr(g) == (
+        "DecoratedGaussDiagram(tokens=(Token(kind='H', arrow=1), Token(kind='T', arrow=1)), "
+        "arrows=(Arrow(id=1, sign=-1, valuation=0),), circle_valuation=1)"
+    )
+    assert repr(RealCross(2, -1)) == "RealCross(position=2, sign=-1)"
+    assert repr(TypeIInsert(0, 1, -1)) == "TypeIInsert(edge=0, pos=1, sign=-1)"
+    assert repr(DiagramLoop((CircleForward(0), ArrowJump(1, "head")))) == (
+        "DiagramLoop(steps=(CircleForward(edge=0), ArrowJump(arrow=1, to='head')))"
+    )
+    assert repr(SliceWord((1, -1), (Cap(1, 1),))) == (
+        "SliceWord(bottom=(1, -1), slices=(Cap(position=1, left_direction=1),))"
+    )
+    assert repr(VirtualBraidWord(2, (Letter("v", 1),))) == (
+        "VirtualBraidWord(strands=2, letters=(Letter(kind='v', index=1),))"
+    )
+    assert repr(w) == "_Wire(edge=(0, 1), target=(0, 1, 1), direction=-1)"
+    assert repr(a) == (
+        "AnnularDiagram(refinement=TDiagram(base=DecoratedGaussDiagram(tokens=(), arrows=(), "
+        "circle_valuation=1), markings=((1,),)), components=(ComponentMap(arcs=(0,), "
+        "crossings=(), rotation=(('end0.0', ('a0s0.0',)), ('end0.1', ('a0s0.1',))), "
+        "bottoms=('end0.0',), tops=('end0.1',)),), column_markings=(0,))"
+    )
