@@ -9,7 +9,7 @@ positive T-diagram into such a word, one crossing band per level.
 from __future__ import annotations
 
 from .admit import level_decomposition
-from .diagrams import DecoratedGaussDiagram, TDiagram, record
+from .diagrams import DecoratedGaussDiagram, TDiagram, _set_field, record
 from .errors import InvalidDiagram, ParseError
 from .refine import positive_refinement
 from .slices import RealCross, SliceWord, VirtualCross
@@ -27,9 +27,8 @@ class Letter:
             raise InvalidDiagram(f"unknown braid letter kind {kind!r}")
         if index < 1:
             raise InvalidDiagram(f"braid letter index {index} out of range")
-        d = self.__dict__  # past the frozen __setattr__
-        d["kind"] = kind
-        d["index"] = index
+        _set_field(self, "kind", kind)
+        _set_field(self, "index", index)
 
 
 @record

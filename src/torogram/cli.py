@@ -343,10 +343,7 @@ _HELP = {
 
 
 def _worker_count(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
+    k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError(f"needs a whole number of workers >= 1, got {text!r}")
     return k

@@ -23,23 +23,25 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram, ParseError
 
+# stores a record field past the record's raising __setattr__
+_set_field = object.__setattr__
 
-def record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+
+def record(cls=None, *, hidden: tuple[str, ...] = ()):
     """Class decorator for value records: ``@dataclass`` without its import.
 
     The fields are the class annotations, in order.  The record gets an
-    ``__init__`` taking them by position or by name, then calling
-    ``__post_init__`` (unless the class writes its own ``__init__``); the
-    dataclass repr; ``__eq__`` over the fields, between records of one class
-    only; and, when frozen, ``__hash__`` over the same fields and a
-    ``__setattr__``/``__delattr__`` that raise :class:`AttributeError`.  A
-    mutable record is unhashable.  Fields named in ``hidden`` stay out of
-    repr, eq and hash.  Nothing is compiled at run time: importing
-    ``dataclasses`` (it loads ``inspect``) and compiling the source of its
-    generated methods cost every CLI process ~25 ms.
+    ``__init__`` by position or name that calls ``__post_init__``, unless the
+    class writes its own; the dataclass repr; ``__eq__`` within one class and
+    ``__hash__``, both over the fields not named in ``hidden``; and raising
+    ``__setattr__``/``__delattr__``, so fields are set with ``_set_field``
+    (never through ``self.__dict__``, which would give the instance a real
+    dict and slow every attribute read).  Nothing is compiled at run time:
+    importing ``dataclasses`` and compiling its generated methods cost every
+    CLI process ~25 ms.
     """
     if cls is None:
-        return lambda c: record(c, frozen=frozen, hidden=hidden)
+        return lambda c: record(c, hidden=hidden)
     names = tuple(cls.__annotations__)
     count = len(names)
     shown = tuple(f for f in names if f not in hidden)
@@ -48,9 +50,15 @@ def record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
     post = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = _bind(cls.__name__, names, args, kwargs)
-        self.__dict__.update(zip(names, args))
+        if kwargs or len(args) != count:  # bind by name, as a dataclass does
+            values = dict(zip(names, args))
+            if len(args) > count or kwargs.keys() != set(names) - values.keys():
+                raise TypeError(f"{cls.__name__}() takes each of the fields {', '.join(names)} "
+                                f"once, got {len(args)} by position and {sorted(kwargs)} by name")
+            values.update(kwargs)
+            args = [values[f] for f in names]
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
         if post is not None:
             post(self)
 
@@ -72,23 +80,12 @@ def record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__, "__hash__": None}
-    if frozen:
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__, "__hash__": __hash__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
     for name, method in methods.items():
         if name not in cls.__dict__:  # a method the class writes itself stays
             setattr(cls, name, method)
     return cls
-
-
-def _bind(name: str, fields: tuple[str, ...], args: tuple, kwargs: dict) -> list:
-    """The field values, in order, of a record call with keywords or a wrong count."""
-    values = dict(zip(fields, args))
-    if len(args) > len(fields) or kwargs.keys() != set(fields) - values.keys():
-        raise TypeError(f"{name}() takes each of the fields {', '.join(fields)} once, "
-                        f"got {len(args)} by position and {sorted(kwargs)} by name")
-    values.update(kwargs)
-    return [values[f] for f in fields]
 
 
 class Token(NamedTuple):
@@ -107,10 +104,9 @@ class Arrow:
             raise InvalidDiagram(f"arrow id must be >= 1, got {id}")
         if sign not in (1, -1):
             raise InvalidDiagram(f"arrow sign must be +1 or -1, got {sign}")
-        d = self.__dict__  # past the frozen __setattr__
-        d["id"] = id
-        d["sign"] = sign
-        d["valuation"] = valuation
+        _set_field(self, "id", id)
+        _set_field(self, "sign", sign)
+        _set_field(self, "valuation", valuation)
 
 
 def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tuple[int, ...]:

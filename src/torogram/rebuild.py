@@ -374,14 +374,11 @@ def annular_to_json(a: AnnularDiagram) -> dict:
 # -- drawing as a slice word --------------------------------------------------------
 
 
-@record(frozen=False)
 class _Wire:
     """A strand being drawn: the edge it is on, the dart at the vertex it is
     heading for, and the knot direction (+1 along the sweep)."""
 
-    edge: tuple[int, int]
-    target: Dart
-    direction: int
+    __slots__ = ("edge", "target", "direction")
 
     def __init__(self, edge: tuple[int, int], target: Dart, direction: int):
         self.edge = edge

@@ -21,14 +21,8 @@ from .admit import (
     _pessimal_cycle,
     transition_graph,
 )
-from .diagrams import (
-    DecoratedGaussDiagram,
-    TDiagram,
-    canonical_serialize,
-    record,
-    require_valid,
-    validate,
-)
+from .diagrams import DecoratedGaussDiagram, TDiagram, canonical_serialize, require_valid, validate
+from .diagrams import record
 from .errors import InvalidDiagram, NotAdmissible, NotWeaklyAdmissible
 
 

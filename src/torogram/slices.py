@@ -13,7 +13,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .admit import level_decomposition
-from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram, record
+from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
+from .diagrams import _set_field, record
 from .errors import InvalidDiagram, NoLevels, ParseError
 
 
@@ -37,9 +38,8 @@ class RealCross:
         _check_sign(sign, "crossing sign")
         if position < 1:
             raise InvalidDiagram(f"column {position} out of range")
-        d = self.__dict__  # past the frozen __setattr__
-        d["position"] = position
-        d["sign"] = sign
+        _set_field(self, "position", position)
+        _set_field(self, "sign", sign)
 
 
 @record
@@ -49,7 +49,7 @@ class VirtualCross:
     def __init__(self, position: int):
         if position < 1:
             raise InvalidDiagram(f"column {position} out of range")
-        self.__dict__["position"] = position
+        _set_field(self, "position", position)
 
 
 @record
@@ -64,9 +64,8 @@ class Cap:
         _check_sign(left_direction, "cap direction")
         if position < 1:
             raise InvalidDiagram(f"column {position} out of range")
-        d = self.__dict__
-        d["position"] = position
-        d["left_direction"] = left_direction
+        _set_field(self, "position", position)
+        _set_field(self, "left_direction", left_direction)
 
 
 @record
@@ -79,7 +78,7 @@ class Cup:
     def __init__(self, position: int):
         if position < 1:
             raise InvalidDiagram(f"column {position} out of range")
-        self.__dict__["position"] = position
+        _set_field(self, "position", position)
 
 
 Slice = RealCross | VirtualCross | Cap | Cup
