@@ -1,4 +1,6 @@
 """Combinatorics of decorated Gauss diagrams for knots in a solid torus."""
+from types import ModuleType as _Module
+
 from .braid import (
     Letter,
     VirtualBraidWord,
@@ -95,85 +97,6 @@ from .refine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnularDiagram",
-    "Cap",
-    "ComponentMap",
-    "Cup",
-    "Letter",
-    "RealCross",
-    "SliceReport",
-    "SliceWord",
-    "VirtualBraidWord",
-    "VirtualCross",
-    "annular_to_json",
-    "braid_to_sliceword",
-    "closure_permutation",
-    "crossing_records",
-    "direction_levels",
-    "extract_tdiagram",
-    "find_section",
-    "parse_braid",
-    "parse_sliceword",
-    "reconstruct",
-    "render_svg",
-    "represent_as_closed_braid",
-    "represent_dgd",
-    "represent_tdiagram",
-    "serialize_braid",
-    "serialize_sliceword",
-    "synthesize_braid",
-    "to_sliceword",
-    "validate_sliceword",
-    "whitney_index",
-    "ADMISSIBLE",
-    "NOT_WEAKLY",
-    "WEAKLY_ONLY",
-    "AdmissibilityReport",
-    "TransitionGraph",
-    "check_admissible",
-    "level_decomposition",
-    "transition_graph",
-    "Move",
-    "TypeIDelete",
-    "TypeIInsert",
-    "TypeIIMinus",
-    "TypeIIPlus",
-    "apply_move",
-    "connect_refinements",
-    "find_refinement",
-    "kernel_basis",
-    "minimal_refinement",
-    "move_from_json",
-    "move_to_json",
-    "non_negative_refinement",
-    "positive_refinement",
-    "Arrow",
-    "ArrowJump",
-    "CircleForward",
-    "DecoratedGaussDiagram",
-    "DiagramLoop",
-    "TDiagram",
-    "Token",
-    "ValidationReport",
-    "assemble_tdiagram",
-    "canonical_serialize",
-    "check_loop",
-    "forget_markings",
-    "is_full",
-    "is_reduced",
-    "loop_from_json",
-    "loop_homology",
-    "loop_to_json",
-    "parse_diagram",
-    "validate",
-    "InvalidDiagram",
-    "NoLevels",
-    "NotAdmissible",
-    "NotFull",
-    "NotPositive",
-    "NotRealRealizable",
-    "NotWeaklyAdmissible",
-    "ParseError",
-    "__version__",
-]
+# every name imported above, and the version
+__all__ = [n for n, v in list(globals().items()) if n[0] != "_" and not isinstance(v, _Module)]
+__all__.append("__version__")

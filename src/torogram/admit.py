@@ -13,6 +13,7 @@ from .diagrams import (
     DecoratedGaussDiagram,
     DiagramLoop,
     TDiagram,
+    _stored,
     loop_homology,
     loop_to_json,
     record,
@@ -39,6 +40,7 @@ class TransitionGraph:
     edges: tuple[tuple[int, int, int, int], ...]  # (from arrow, to arrow, weight, circle edge)
 
 
+@_stored("_transitions")
 def transition_graph(g: DecoratedGaussDiagram) -> TransitionGraph:
     counts = g.reference_counts
     m = 2 * g.n
@@ -124,7 +126,7 @@ def _zero_cycle(tg: TransitionGraph) -> list[int] | None:
     return _pessimal_cycle(tg, len(tg.edges) + 1, -1)[0]
 
 
-def _has_tight_cycle(tg: TransitionGraph, pi: list[int]) -> bool:
+def _has_tight_cycle(tg: TransitionGraph, pi: tuple[int, ...]) -> bool:
     """Whether some cycle weighs exactly 0: whether the edges of reduced cost 0
     under the feasible potential ``pi`` survive Kahn's peel, O(n + m)."""
     out: list[list[int]] = [[] for _ in pi]
@@ -175,7 +177,8 @@ def check_admissible(g: DecoratedGaussDiagram) -> AdmissibilityReport:
     return _admissibility(g)[0]
 
 
-def _admissibility(g: DecoratedGaussDiagram) -> tuple[AdmissibilityReport, list[int] | None]:
+@_stored("_admitted")
+def _admissibility(g: DecoratedGaussDiagram) -> tuple[AdmissibilityReport, tuple[int, ...] | None]:
     """The report of :func:`check_admissible`, and the feasible potential of
     the transition graph that its Bellman-Ford found; None when the diagram
     has no arrows or is not weakly admissible."""
@@ -198,7 +201,7 @@ def _admissibility(g: DecoratedGaussDiagram) -> tuple[AdmissibilityReport, list[
         loop = _walk_to_loop(g, walk)
         counts = g.reference_counts
         return _certified(g, NOT_WEAKLY, loop, sum(counts[e] for e in walk)), None
-    potential = [d // scale for d in dist]
+    potential = tuple(d // scale for d in dist)
     for a in g.arrows:
         if a.valuation == 0:
             return _certified(g, WEAKLY_ONLY, g.distinguished_loop(a.id), 0), potential
@@ -226,9 +229,25 @@ def level_decomposition(t: TDiagram, require_positive: bool = True) -> dict[int,
     blockage.  O(m): the live tokens form a doubly linked ring, and since
     every peeled token was anchored, a round can only anchor the survivor
     right after a peeled block, so only that survivor's arrow can get ready.
+
+    The positive decomposition, or its :class:`NoLevels` or
+    :class:`NotPositive`, is found once and stored on ``t``; each call gets
+    its own copy of the dict.
     """
-    if require_positive and not t.is_positive:
+    if require_positive:
+        return dict(_positive_levels(t))
+    return _peel(t)
+
+
+@_stored("_leveled", (NoLevels, NotPositive))
+def _positive_levels(t: TDiagram) -> dict[int, int]:
+    """The positive level decomposition of ``t``; callers must not mutate it."""
+    if not t.is_positive:
         raise NotPositive("level decomposition needs a positive marking set")
+    return _peel(t)
+
+
+def _peel(t: TDiagram) -> dict[int, int]:
     g = t.base
     m = 2 * g.n
     anchored = [bool(t.markings[p - 1]) for p in range(m)]

@@ -8,8 +8,8 @@ positive T-diagram into such a word, one crossing band per level.
 """
 from __future__ import annotations
 
-from .admit import level_decomposition
-from .diagrams import DecoratedGaussDiagram, TDiagram, _set_field, record
+from .admit import _positive_levels
+from .diagrams import DecoratedGaussDiagram, TDiagram, _set_field, _stored, record
 from .errors import InvalidDiagram, ParseError
 from .refine import positive_refinement
 from .slices import RealCross, SliceWord, VirtualCross
@@ -139,13 +139,16 @@ def synthesize_braid(t: TDiagram) -> VirtualBraidWord:
     strands, numbered along the curve; the arc leaving the first marking takes
     the rightmost column.  Crossings are laid down band by band in level
     order, sliding strands together with virtual letters and never sliding
-    them back, so each crossing costs one real letter plus the slides.
+    them back, so each crossing costs one real letter plus the slides.  The
+    word is built once per T-diagram, from its stored levels, and stored on it.
     """
-    return _synthesize(t, level_decomposition(t))
+    return _synthesize(t)
 
 
-def _synthesize(t: TDiagram, levels: dict[int, int]) -> VirtualBraidWord:
-    """:func:`synthesize_braid` for the level decomposition of ``t``."""
+@_stored("_braid")
+def _synthesize(t: TDiagram) -> VirtualBraidWord:
+    """:func:`synthesize_braid`, from the stored levels of ``t``."""
+    levels = _positive_levels(t)
     base = t.base
     k = t.marking_count
 

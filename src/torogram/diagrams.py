@@ -16,7 +16,7 @@ T-diagram serializes from the tied rotation with the least marking tuple.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -86,6 +86,34 @@ def record(cls=None, *, hidden: tuple[str, ...] = ()):
         if name not in cls.__dict__:  # a method the class writes itself stays
             setattr(cls, name, method)
     return cls
+
+
+def _stored(name: str, failures: tuple = ()):
+    """Decorator: the function's value for an object, computed on first use
+    and stored on it as ``name``, a class-level ``None`` outside the fields
+    (so ``==``, ``hash`` and ``repr`` ignore it; no table spans objects).  A
+    failure of a ``failures`` type is stored too, and every call raises a
+    fresh copy with its message and certificate; anything else stores nothing."""
+
+    def decorate(build):
+        @wraps(build)
+        def get(obj):
+            value = getattr(obj, name)
+            if value is None:
+                try:
+                    value = build(obj)
+                except failures as e:
+                    value = e.with_traceback(None)
+                _set_field(obj, name, value)
+            if isinstance(value, Exception):
+                fresh = Exception.__new__(type(value), *value.args)
+                fresh.__dict__.update(value.__dict__)  # the certificate
+                raise fresh
+            return value
+
+        return get
+
+    return decorate
 
 
 class Token(NamedTuple):
@@ -171,6 +199,7 @@ class DecoratedGaussDiagram:
     # set by __post_init__, outside init, repr and compare: the input rotation
     # the stored tokens start at (_rotation), and the rotations of the stored
     # tokens tying for the least key, starting with 0 (_tied_rotations)
+    _admitted = _transitions = _realized = None  # see _stored
 
     def __post_init__(self) -> None:
         tokens = tuple(Token(k, a) for k, a in self.tokens)
@@ -283,6 +312,7 @@ class TDiagram:
 
     base: DecoratedGaussDiagram
     markings: tuple[tuple[int, ...], ...]
+    _leveled = _braid = None  # see _stored
 
     def __post_init__(self) -> None:
         marks = tuple(tuple(edge) for edge in self.markings)

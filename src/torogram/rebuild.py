@@ -19,6 +19,7 @@ from __future__ import annotations
 from .diagrams import (
     DecoratedGaussDiagram,
     TDiagram,
+    _stored,
     canonical_serialize,
     is_full,
     record,
@@ -32,9 +33,9 @@ from .slices import (
     RealCross,
     SliceWord,
     VirtualCross,
+    _extraction,
     _read,
     _Reading,
-    _tdiagram,
     direction_levels,
 )
 
@@ -316,9 +317,18 @@ def _component_map(web: _Web, arcs: list[int], ends) -> ComponentMap:
     )
 
 
-def _realize(g: DecoratedGaussDiagram):
-    """The cut-open cheapest refinement, its pieces left to right as (arcs,
-    ends) and the marking per column, or the reason no real picture exists."""
+def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
+    """The canonical real annular diagram of a full decorated Gauss diagram,
+    built over its cheapest refinement; raises :class:`NotFull` or
+    :class:`NotRealRealizable` when no such picture exists.  The picture, or
+    the failure, is found once and stored on ``g``."""
+    return _rebuilt(g)
+
+
+@_stored("_realized", (NotFull, NotRealRealizable))
+def _rebuilt(g: DecoratedGaussDiagram) -> AnnularDiagram:
+    """Cut the cheapest refinement open, order its pieces left to right,
+    and sweep the picture once, or say why no real picture exists."""
     if not is_full(g):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
     web = _Web(minimal_refinement(g))
@@ -329,17 +339,9 @@ def _realize(g: DecoratedGaussDiagram):
     order, bottoms, _ = _order_components(web, comp_ends)
     _glued_face_check(web)
     columns = tuple(web.end_marking(*e) for e in bottoms)
-    return web, [(comps[i], comp_ends[i]) for i in order], columns
-
-
-def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
-    """The canonical real annular diagram of a full decorated Gauss diagram,
-    built over its cheapest refinement; raises :class:`NotFull` or
-    :class:`NotRealRealizable` when no such picture exists."""
-    web, pieces, columns = _realize(g)
     return AnnularDiagram(
         refinement=web.t,
-        components=tuple(_component_map(web, arcs, ends) for arcs, ends in pieces),
+        components=tuple(_component_map(web, comps[i], comp_ends[i]) for i in order),
         column_markings=columns,
         word=_sweep(web, columns),
     )
@@ -528,9 +530,9 @@ def _half_turns(word: SliceWord) -> int:
 
 
 def whitney_index(g: DecoratedGaussDiagram) -> int:
-    """Rotation number of the picture :func:`reconstruct` draws; fails as it does."""
-    web, _, columns = _realize(g)
-    return _half_turns(_sweep(web, columns))
+    """Rotation number of the picture :func:`reconstruct` draws, read off the
+    word stored with it; fails as it does."""
+    return _half_turns(_rebuilt(g).word)
 
 
 # -- moving the section -------------------------------------------------------------
@@ -598,11 +600,13 @@ def find_section(word: SliceWord, t: TDiagram):
     reading = _read(word)
     if any(isinstance(s, VirtualCross) for s in word.slices):
         raise InvalidDiagram("the drawing must be real: no virtual crossings")
-    drawn = _tdiagram(word, reading)
+    drawn = _extraction(word)
     if not is_full(drawn.base):
         raise NotFull("the drawn knot has zero decorations; no section separates it")
     require_valid(t)
-    if canonical_serialize(t.base) != canonical_serialize(drawn.base):
+    # the word's own extraction needs no check; a t built elsewhere is
+    # compared by canonical text
+    if t.base is not drawn.base and canonical_serialize(t.base) != canonical_serialize(drawn.base):
         raise InvalidDiagram("the markings refine a different diagram")
 
     levels = reading.levels

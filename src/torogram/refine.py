@@ -140,7 +140,10 @@ def _lex_least(tg: TransitionGraph, counts: list[int], signs: list[int]) -> list
 
 
 def _refinement(
-    g: DecoratedGaussDiagram, tg: TransitionGraph, potential: list[int] | None, signs: list[int]
+    g: DecoratedGaussDiagram,
+    tg: TransitionGraph,
+    potential: tuple[int, ...] | list[int],
+    signs: list[int],
 ) -> TDiagram:
     """Run the core from a feasible ``potential`` of the constraint arcs; check its answer."""
     start = [w + potential[u] - potential[v] for (u, v, w, _) in tg.edges]

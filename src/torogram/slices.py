@@ -12,9 +12,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .admit import level_decomposition
 from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
-from .diagrams import _set_field, record
+from .diagrams import _set_field, _stored, record
 from .errors import InvalidDiagram, NoLevels, ParseError
 
 
@@ -88,6 +87,7 @@ Slice = RealCross | VirtualCross | Cap | Cup
 class SliceWord:
     bottom: tuple[int, ...]
     slices: tuple[Slice, ...]
+    _reading = _extracted = None  # see _stored
 
     def __post_init__(self):
         for d in self.bottom:
@@ -328,6 +328,7 @@ class _Reading(NamedTuple):
     arrows: dict[int, int]
 
 
+@_stored("_reading")
 def _read(word: SliceWord) -> _Reading:
     """Validate the word and walk its curve; raises on invalid words."""
     report, levels, curves = _survey(word)
@@ -370,7 +371,12 @@ def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
 def extract_tdiagram(word: SliceWord) -> TDiagram:
     """The T-diagram of the closed-up curve: crossings become arrows (numbered
     by first visit, overpass first letter H), boundary passages become
-    markings on the edges between them."""
+    markings on the edges between them.  Read once per word and stored on it."""
+    return _extraction(word)
+
+
+@_stored("_extracted")
+def _extraction(word: SliceWord) -> TDiagram:
     return _tdiagram(word, _read(word))
 
 
@@ -401,17 +407,16 @@ def represent_tdiagram(t: TDiagram) -> SliceWord:
     A positive T-diagram with a level decomposition is a closed braid, and is
     drawn as the closure of the braid that
     :func:`torogram.braid.synthesize_braid` builds.  Any other T-diagram is
-    drawn with parked strands (:func:`_represent_parked`).
+    drawn with parked strands (:func:`_represent_parked`).  The braid, and
+    the levels it is built from, are those stored on ``t``.
     """
     from .braid import _synthesize, braid_to_sliceword  # braid imports this module
 
     if t.is_positive:
         try:
-            levels = level_decomposition(t)
+            return braid_to_sliceword(_synthesize(t))
         except NoLevels:
             pass
-        else:
-            return braid_to_sliceword(_synthesize(t, levels))
     return _represent_parked(t)
 
 

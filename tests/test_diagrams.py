@@ -441,3 +441,17 @@ def test_value_records_keep_dataclass_semantics():
         "crossings=(), rotation=(('end0.0', ('a0s0.0',)), ('end0.1', ('a0s0.1',))), "
         "bottoms=('end0.0',), tops=('end0.1',)),), column_markings=(0,))"
     )
+
+
+def test_the_package_exports_every_imported_public_name():
+    import types
+
+    import torogram
+
+    names = torogram.__all__
+    assert len(names) == len(set(names)) and names[-1] == "__version__"
+    assert {"reconstruct", "extract_tdiagram", "TDiagram", "NotFull", "Move"} <= set(names)
+    assert not {"admit", "braid", "diagrams", "errors", "rebuild", "refine", "slices"} & set(names)
+    for name in names[:-1]:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(torogram, name), types.ModuleType)

@@ -25,7 +25,13 @@ from torogram.slices import (
     represent_dgd,
 )
 
-from gen import random_braid_word, random_dgd, random_real_sliceword, scrambled_copy
+from gen import (
+    random_braid_word,
+    random_dgd,
+    random_real_sliceword,
+    scrambled_copy,
+    scrambled_tdiagram,
+)
 from oracles import brute_section, turning_number
 
 THREE_TWISTS = parse_diagram(
@@ -112,6 +118,32 @@ def test_whitney_index_fails_as_reconstruct_does():
                 whitney_index(g)
             assert str(got.value) == str(want)
             kinds.add((type(want), str(want)))
+    assert {kind for kind, _ in kinds} == {NotFull, NotRealRealizable}
+    assert len(kinds) >= 4
+
+
+def test_whitney_index_first_fails_as_reconstruct_then_does():
+    rng = random.Random(67)
+    cases = [
+        parse_diagram("circle 2\narrows 0\nseq\n"),
+        parse_diagram("circle 0\narrows 1\nseq H1 T1\narrow 1 sign + val 0\n"),
+        parse_diagram(
+            "circle 1\narrows 2\nseq H1 H2 T1 T2\n"
+            "arrow 1 sign + val 1\narrow 2 sign + val 1\n"
+        ),
+    ] + [random_dgd(rng, max_arrows=4, val_range=2) for _ in range(200)]
+    kinds = set()
+    for g in cases:
+        try:
+            n = whitney_index(g)
+        except (NotFull, NotRealRealizable) as want:
+            with pytest.raises(type(want)) as got:
+                reconstruct(g)
+            assert str(got.value) == str(want)
+            kinds.add((type(want), str(want)))
+        else:
+            reconstruct(g)  # draws, as whitney_index did
+            assert whitney_index(g) == n
     assert {kind for kind, _ in kinds} == {NotFull, NotRealRealizable}
     assert len(kinds) >= 4
 
@@ -244,6 +276,30 @@ def test_section_matches_the_plain_iterative_deepening():
             want_kept, want_seq = brute_section(word, marks)
             assert kept == want_kept
             assert seq == want_seq
+
+
+def test_section_reads_a_foreign_copy_of_the_markings_as_the_stored_extraction():
+    rng = random.Random(71)
+    for _ in range(40):
+        word = random_real_sliceword(rng, min_crossings=1, max_crossings=8)
+        t = extract_tdiagram(word)
+        if len(t.base._tied_rotations) > 1:
+            continue  # a symmetric diagram: a copy's edges match up to the symmetry only
+        kept, seq = find_section(word, t)
+        copy = scrambled_tdiagram(t, rng)
+        assert copy.base is not t.base
+        kept_copy, seq_copy = find_section(word, copy)
+        assert canonical_serialize(kept_copy) == canonical_serialize(kept)
+        assert seq_copy == seq
+
+
+def test_section_refuses_a_foreign_tdiagram_of_another_diagram():
+    rng = random.Random(73)
+    word = random_real_sliceword(rng, min_crossings=3, max_crossings=8)
+    other = extract_tdiagram(SliceWord((1, 1), (RealCross(1, 1),) * 5))
+    assert canonical_serialize(other.base) != canonical_serialize(extract_tdiagram(word).base)
+    with pytest.raises(InvalidDiagram, match="^the markings refine a different diagram$"):
+        find_section(word, other)
 
 
 def test_section_refuses_virtual_letters():
