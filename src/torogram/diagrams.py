@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property, wraps
 from itertools import accumulate
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram, ParseError
@@ -161,17 +161,10 @@ def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tup
         else:
             first[tok.arrow] = q
     kind = [(m + 1) * (tok.kind == "T") for tok in tokens]
-    word = [(kind[q], back[q], arrows[t.arrow].sign, arrows[t.arrow].valuation)
-            for q, t in enumerate(tokens)]
-    border = [0] * m  # prefix function of the rotation-invariant word
-    for q in range(1, m):
-        b = border[q - 1]
-        while b and word[q] != word[b]:
-            b = border[b - 1]
-        border[q] = b + (word[q] == word[b])
-    p = m - border[-1]  # least period of the word read once
-    if m % p:
-        p = m  # it does not close up round the circle
+    p = _closed_period(list(map(add, kind, back)))  # the shape alone
+    if p < m:  # a period of the whole word is one of its shape
+        p = _closed_period([(kind[q], back[q], arrows[t.arrow].sign, arrows[t.arrow].valuation)
+                            for q, t in enumerate(tokens)])
     live = list(range(p))
     for i in range(m):
         if len(live) == 1:
@@ -186,7 +179,22 @@ def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tup
         seen = [arrows[tokens[(r + i) % m].arrow] for i in range(m) if back[(r + i) % m] > i]
         return [a.sign for a in seen], [a.valuation for a in seen]
 
-    return tuple(range(min(live, key=decorations), m, p))
+    return tuple(range(live[0] if len(live) == 1 else min(live, key=decorations), m, p))
+
+
+def _closed_period(word: list) -> int:
+    """The least period of ``word`` that closes up round the circle: its
+    least period by the prefix function when that divides the length, else
+    the length."""
+    m = len(word)
+    border = [0] * m
+    for q in range(1, m):
+        b = border[q - 1]
+        while b and word[q] != word[b]:
+            b = border[b - 1]
+        border[q] = b + (word[q] == word[b])
+    p = m - border[-1]
+    return m if m % p else p
 
 
 @record
@@ -199,29 +207,35 @@ class DecoratedGaussDiagram:
     # set by __post_init__, outside init, repr and compare: the input rotation
     # the stored tokens start at (_rotation), and the rotations of the stored
     # tokens tying for the least key, starting with 0 (_tied_rotations)
-    _admitted = _transitions = _realized = None  # see _stored
+    _admitted = _transitions = _realized = _texts = None  # see _stored
 
     def __post_init__(self) -> None:
-        tokens = tuple(Token(k, a) for k, a in self.tokens)
+        tokens = self.tokens
+        if type(tokens) is not tuple or not all(type(tok) is Token for tok in tokens):
+            tokens = tuple(Token(k, a) for k, a in tokens)
         arrows = tuple(sorted(self.arrows, key=lambda a: a.id))
         ids = [a.id for a in arrows]
         n = len(arrows)
         if ids != list(range(1, n + 1)):
             raise InvalidDiagram(f"arrow ids must be exactly 1..{n}, got {ids}")
-        declared = set(ids)
-        seen: dict[tuple[str, int], int] = {}
-        for tok in tokens:
-            if tok.kind not in ("H", "T"):
-                raise InvalidDiagram(f"unknown token kind {tok.kind!r}")
-            if tok.arrow not in declared:
-                raise InvalidDiagram(f"token for undeclared arrow {tok.arrow}")
-            if tok in seen:
-                raise InvalidDiagram(f"duplicate token {tok.kind}{tok.arrow}")
-            seen[tok] = 1
-        if len(tokens) != 2 * n:
-            raise InvalidDiagram(
-                f"expected {2 * n} tokens for {n} arrows, got {len(tokens)}"
-            )
+        try:  # one comparison when every token is right
+            fine = sorted(tokens) == [*zip("H" * n, ids), *zip("T" * n, ids)]
+        except TypeError:  # a kind or an arrow of another type
+            fine = False
+        if not fine:  # name the first fault in sequence order
+            declared, seen = set(ids), set()
+            for tok in tokens:
+                if tok.kind not in ("H", "T"):
+                    raise InvalidDiagram(f"unknown token kind {tok.kind!r}")
+                if tok.arrow not in declared:
+                    raise InvalidDiagram(f"token for undeclared arrow {tok.arrow}")
+                if tok in seen:
+                    raise InvalidDiagram(f"duplicate token {tok.kind}{tok.arrow}")
+                seen.add(tok)
+            if len(tokens) != 2 * n:
+                raise InvalidDiagram(
+                    f"expected {2 * n} tokens for {n} arrows, got {len(tokens)}"
+                )
         ties = _least_rotations(tokens, {a.id: a for a in arrows})
         shift = ties[0]
         object.__setattr__(self, "tokens", tokens[shift:] + tokens[:shift])
@@ -515,55 +529,48 @@ def require_valid(t: TDiagram) -> None:
 # -- serialization ----------------------------------------------------------
 
 
-def _serialize_lines(
-    tokens: tuple[Token, ...],
-    arrows: Iterable[Arrow],
-    circle: int,
-    markings: tuple[tuple[int, ...], ...] | None,
-    shift: int,
-) -> str:
-    """Serialize one chosen rotation, relabeling arrows by first appearance."""
-    m = len(tokens)
+_MARK_TEXT = {1: "M+", -1: "M-"}
+
+
+@_stored("_texts")
+def _token_texts(g: DecoratedGaussDiagram) -> tuple[list[str], str]:
+    """The stored tokens' texts, arrows relabelled by first appearance, and
+    the arrow lines in that numbering.  Every tied rotation reads the same
+    relabelled word, so these serve whichever one a T-diagram starts at."""
     relabel: dict[int, int] = {}
-    for i in range(m):
-        tok = tokens[(i + shift) % m]
-        relabel.setdefault(tok.arrow, len(relabel) + 1)
-    n = len(relabel)
-    items: list[str] = []
-    edge_count = m if m else 1
-    for i in range(m):
-        if markings is not None:
-            wrap = (i - 1 + shift) % edge_count
-            items.extend("M+" if s == 1 else "M-" for s in markings[wrap])
-        tok = tokens[(i + shift) % m]
-        items.append(f"{tok.kind}{relabel[tok.arrow]}")
-    if m == 0 and markings is not None:
-        items.extend("M+" if s == 1 else "M-" for s in markings[0])
-    lines = [f"circle {circle}", f"arrows {n}", ("seq " + " ".join(items)).rstrip()]
-    by_new = sorted(relabel, key=relabel.__getitem__)
-    arrow_map = {a.id: a for a in arrows}
-    for old in by_new:
-        a = arrow_map[old]
-        lines.append(
-            f"arrow {relabel[old]} sign {'+' if a.sign == 1 else '-'} val {a.valuation}"
-        )
-    return "\n".join(lines) + "\n"
+    texts = []
+    for kind, arrow in g.tokens:
+        texts.append(f"{kind}{relabel.setdefault(arrow, len(relabel) + 1)}")
+    lines = []
+    for old, new in relabel.items():
+        a = g.arrows[old - 1]  # ids are 1..n in order
+        lines.append(f"arrow {new} sign {'+' if a.sign == 1 else '-'} val {a.valuation}\n")
+    return texts, "".join(lines)
 
 
 def canonical_serialize(d: DecoratedGaussDiagram | TDiagram) -> str:
     """Deterministic text form, identical for rotated or relabeled copies."""
-    if isinstance(d, DecoratedGaussDiagram):
-        return _serialize_lines(d.tokens, d.arrows, d.circle_valuation, None, 0)
-    g = d.base
-    if g.n == 0:
+    g = d if isinstance(d, DecoratedGaussDiagram) else d.base
+    texts, arrow_lines = _token_texts(g)
+    if g is d:
+        items = texts
+    elif g.n == 0:  # one edge: its least rotation
         marks = d.markings[0]
         r = _least_rotation(marks)
-        return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, (marks[r:] + marks[:r],), 0)
-    shift = 0
-    if len(g._tied_rotations) > 1:  # ties at 0, p, 2p, ...: compare blocks of p edges
-        p = g._tied_rotations[1]
-        shift = p * _least_rotation([d.markings[b:b + p] for b in range(0, g.edge_count, p)])
-    return _serialize_lines(g.tokens, g.arrows, g.circle_valuation, d.markings, shift)
+        items = [_MARK_TEXT[s] for s in marks[r:] + marks[:r]]
+    else:
+        shift = 0
+        if len(g._tied_rotations) > 1:  # ties at 0, p, 2p, ...: compare blocks of p edges
+            p = g._tied_rotations[1]
+            shift = p * _least_rotation([d.markings[b:b + p] for b in range(0, g.edge_count, p)])
+        # token i follows edge i - 1 of the rotation at shift
+        start = (shift - 1) % len(texts)
+        items = []
+        for row, text in zip(d.markings[start:] + d.markings[:start], texts):
+            items += map(_MARK_TEXT.__getitem__, row)
+            items.append(text)
+    seq = ("seq " + " ".join(items)).rstrip()
+    return f"circle {g.circle_valuation}\narrows {g.n}\n{seq}\n{arrow_lines}"
 
 
 def _least_rotation(seq) -> int:

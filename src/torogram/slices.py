@@ -149,85 +149,82 @@ def direction_levels(word: SliceWord) -> list[tuple[int, ...]]:
     return levels
 
 
-def _step(word: SliceWord, levels, g: int, c: int, d: int):
-    """The passage after (g, c, d), and the real crossing met on the way as
-    (level, over) or None.
+def _survey(word: SliceWord):
+    """(report, levels, trail, curves): the validation report, the direction
+    levels read, and, once the levels close up, the trail of the first closed
+    curve and the number of closed curves.
 
     A passage is the strand at column c of gap g, walked up (d = 1) or down
-    (d = -1) along its own direction.  Gaps count modulo the number of
-    levels, so gap 0 is the glued boundary and a walk crosses it like any
-    other gap.  The level crossed is g going up and g - 1 going down; the
-    slice that opens two strands ahead is a cap going up and a cup going
-    down, and the other kind turns the strand back in the same gap.
+    (d = -1) along its own direction, so (g, c) names it.  Gaps count modulo
+    the number of levels, so gap 0 is the glued boundary and a walk crosses it
+    like any other gap.  The level crossed is g going up and g - 1 going down;
+    the slice that opens two strands ahead is a cap going up and a cup going
+    down, and the other kind turns the strand back in the same gap.  Curves
+    are found from the lowest gap and leftmost column up; the first starts at
+    the bottom of column 1, or on the left branch of the first cap when the
+    boundary is empty.  Its trail holds ("line", gap, column, direction) per
+    passage and ("cross", level, over) per real crossing, in curve order; the
+    other curves are walked only to be counted.
     """
-    m = len(word.slices)
-    if not m:  # every strand runs once round the annulus and closes on itself
-        return (g, c, d), None
-    i = g if d == 1 else (g - 1) % m
-    s = word.slices[i]
-    p = s.position
-    ahead = (g + d) % m
-    if c < p:
-        return (ahead, c, d), None
-    if isinstance(s, (RealCross, VirtualCross)):
-        if c > p + 1:
-            return (ahead, c, d), None
-        other = 2 * p + 1 - c
-        if isinstance(s, VirtualCross):
-            return (ahead, other, d), None
-        rising_left_over = s.sign == levels[i][p - 1] * levels[i][p]
-        # the strand rose from column p when it sits there below the level
-        return (ahead, other, d), (i, rising_left_over == ((c if d == 1 else other) == p))
-    if isinstance(s, Cap if d == 1 else Cup):
-        return (ahead, c + 2, d), None
-    if c <= p + 1:
-        return (g, 2 * p + 1 - c, -d), None
-    return (ahead, c - 2, d), None
-
-
-def _walk(word: SliceWord, levels, start: tuple[int, int, int], seen: set) -> list[tuple]:
-    """The closed curve through passage ``start``, once round, as a trail of
-    ("line", gap, column, direction) per passage and ("cross", level, over)
-    per real crossing, in curve order; its passages join ``seen``."""
-    trail: list[tuple] = []
-    state = start
-    while state not in seen:
-        seen.add(state)
-        trail.append(("line", *state))
-        state, hit = _step(word, levels, *state)
-        if hit is not None:
-            trail.append(("cross", *hit))
-    return trail
-
-
-def _survey(word: SliceWord):
-    """(report, levels, curves): the validation report, the direction levels
-    read, and the trail of every closed curve once the levels close up.
-    Curves are the orbits of :func:`_step` over all passages, found from the
-    lowest gap and leftmost column up; the first starts at the bottom of
-    column 1, or on the left branch of the first cap when the boundary is
-    empty."""
     levels, problem = _levels(word)
-    if problem is not None:
-        return SliceReport(False, (problem,)), levels, []
-    if levels[-1] != word.bottom:
+    if problem is None and levels[-1] != word.bottom:
         problem = (
             f"top boundary {_dir_text(levels[-1])!r} does not close up with "
             f"bottom {_dir_text(word.bottom)!r}"
         )
-        return SliceReport(False, (problem,)), levels, []
-    seen: set[tuple[int, int, int]] = set()
-    curves = []
-    for g in range(max(len(word.slices), 1)):  # the top gap is gap 0
-        for c, d in enumerate(levels[g], start=1):
-            if (g, c, d) not in seen:
-                curves.append(_walk(word, levels, (g, c, d), seen))
-    if len(curves) == 1:
-        return SliceReport(True, ()), levels, curves
-    problem = (
-        f"{len(curves)} closed curves, need exactly one" if curves else "the word draws nothing"
-    )
-    return SliceReport(False, (problem,)), levels, curves
+    if problem is not None:
+        return SliceReport(False, (problem,)), levels, [], 0
+    m = len(word.slices)
+    trail: list[tuple] = []
+    if not m:  # every strand runs once round the annulus and closes on itself
+        curves = len(word.bottom)
+        if curves:
+            trail.append(("line", 0, 1, word.bottom[0]))
+    else:
+        # per level: 0 real, 1 virtual, 2 cap, 3 cup; its column; and for a
+        # real crossing whether the strand rising from its left column is over
+        kind, pos, over = [], [], []
+        for s, dirs in zip(word.slices, levels):
+            p = s.position
+            pos.append(p)
+            kind.append(0 if isinstance(s, RealCross) else 1 if isinstance(s, VirtualCross)
+                        else 2 if isinstance(s, Cap) else 3)
+            over.append(kind[-1] == 0 and s.sign == dirs[p - 1] * dirs[p])
+        off = list(accumulate(map(len, levels[:m]), initial=-1))  # passage (g, c) at off[g] + c
+        seen = bytearray(off[-1] + 1)
+        curves = 0
+        starts = ((g, c, d) for g in range(m) for c, d in enumerate(levels[g], start=1))
+        for g, c, d in starts:  # the walk moves g, c, d; the next start rebinds them
+            if seen[off[g] + c]:
+                continue
+            curves += 1
+            out = trail if curves == 1 else []
+            while not seen[off[g] + c]:
+                seen[off[g] + c] = 1
+                out.append(("line", g, c, d))
+                ahead = (g + d) % m
+                i = g if d == 1 else ahead
+                p = pos[i]
+                if c < p:
+                    g = ahead
+                elif kind[i] < 2:  # a crossing swaps columns p and p + 1
+                    if c <= p + 1:
+                        if not kind[i]:  # it rose from column p iff it sits there below
+                            out.append(("cross", i, over[i] == ((c == p) == (d == 1))))
+                        c = 2 * p + 1 - c
+                    g = ahead
+                elif (kind[i] == 2) == (d == 1):  # two strands open ahead
+                    g, c = ahead, c + 2
+                elif c <= p + 1:  # the strand turns back in the same gap
+                    c, d = 2 * p + 1 - c, -d
+                else:
+                    g, c = ahead, c - 2
+            if curves == 1 and 0 not in seen:  # the first curve covered every passage
+                break
+    if curves == 1:
+        return SliceReport(True, ()), levels, trail, 1
+    problem = f"{curves} closed curves, need exactly one" if curves else "the word draws nothing"
+    return SliceReport(False, (problem,)), levels, trail, curves
 
 
 def validate_sliceword(word: SliceWord) -> SliceReport:
@@ -279,7 +276,12 @@ def _parse_position(tok: str, lineno: int) -> int:
 def parse_sliceword(text: str) -> SliceWord:
     bottom: tuple[int, ...] | None = None
     slices: list[Slice] = []
+    made: dict[str, Slice] = {}  # one record per distinct line: records are immutable
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = made.get(raw)
+        if s is not None:
+            slices.append(s)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -295,21 +297,23 @@ def parse_sliceword(text: str) -> SliceWord:
         if kind == "cross":
             if len(args) != 2:
                 raise ParseError("cross takes a column and a sign", line=lineno)
-            slices.append(RealCross(_parse_position(args[0], lineno), _parse_sign(args[1], lineno)))
+            s = RealCross(_parse_position(args[0], lineno), _parse_sign(args[1], lineno))
         elif kind == "virtual":
             if len(args) != 1:
                 raise ParseError("virtual takes a column", line=lineno)
-            slices.append(VirtualCross(_parse_position(args[0], lineno)))
+            s = VirtualCross(_parse_position(args[0], lineno))
         elif kind == "cap":
             if len(args) != 2:
                 raise ParseError("cap takes a column and a direction", line=lineno)
-            slices.append(Cap(_parse_position(args[0], lineno), _parse_sign(args[1], lineno)))
+            s = Cap(_parse_position(args[0], lineno), _parse_sign(args[1], lineno))
         elif kind == "cup":
             if len(args) != 1:
                 raise ParseError("cup takes a column", line=lineno)
-            slices.append(Cup(_parse_position(args[0], lineno)))
+            s = Cup(_parse_position(args[0], lineno))
         else:
             raise ParseError(f"unknown level {kind!r}", line=lineno)
+        made[raw] = s
+        slices.append(s)
     if bottom is None:
         raise ParseError("missing bottom line")
     return SliceWord(bottom, tuple(slices))
@@ -320,7 +324,7 @@ def parse_sliceword(text: str) -> SliceWord:
 
 class _Reading(NamedTuple):
     """A valid word read once: its direction levels, the trail of its curve
-    (see :func:`_walk`), and the arrow id of every real crossing's level,
+    (see :func:`_survey`), and the arrow id of every real crossing's level,
     numbered by first visit."""
 
     levels: list[tuple[int, ...]]
@@ -331,41 +335,43 @@ class _Reading(NamedTuple):
 @_stored("_reading")
 def _read(word: SliceWord) -> _Reading:
     """Validate the word and walk its curve; raises on invalid words."""
-    report, levels, curves = _survey(word)
+    report, levels, trail, _ = _survey(word)
     if not report.ok:
         raise InvalidDiagram("; ".join(report.problems))
     arrows: dict[int, int] = {}
-    for ev in curves[0]:
+    for ev in trail:
         if ev[0] == "cross":
             arrows.setdefault(ev[1], len(arrows) + 1)
-    return _Reading(levels, curves[0], arrows)
+    return _Reading(levels, trail, arrows)
 
 
 def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
+    ids = reading.arrows
     tokens: list[Token] = []
-    edge_marks: list[list[int]] = []
-    leading: list[int] = []
+    ends = ([0] * (len(ids) + 1), [0] * (len(ids) + 1))  # token position of each T, H
+    rows: list[list[int]] = []  # the markings of the edge after each token
+    row = leading = []  # the passages before the first crossing close the last edge
     for ev in reading.trail:
         if ev[0] == "cross":
-            tokens.append(Token("H" if ev[2] else "T", reading.arrows[ev[1]]))
-            edge_marks.append([])
+            k = ids[ev[1]]
+            ends[ev[2]][k] = len(tokens)
+            tokens.append(Token("H" if ev[2] else "T", k))
+            row = []
+            rows.append(row)
         elif ev[1] == 0:  # a passage through the glued boundary
-            (edge_marks[-1] if tokens else leading).append(ev[3])
-    if tokens:
-        edge_marks[-1].extend(leading)
+            row.append(ev[3])
+    if rows:
+        row += leading
     else:
-        edge_marks = [leading]
-    prefix = list(accumulate((sum(row) for row in edge_marks), initial=0))
+        rows = [leading]
+    prefix = list(accumulate(map(sum, rows), initial=0))
     w = prefix[-1]
-    ends: dict[tuple[str, int], int] = {tok: pos for pos, tok in enumerate(tokens)}
+    tails, heads = ends
     arrows = []
-    for level, k in reading.arrows.items():
-        h, t = ends["H", k], ends["T", k]  # the arc h..t holds the valuation
-        val = prefix[t] - prefix[h] + (0 if h < t else w)
-        arrows.append(Arrow(k, word.slices[level].sign, val))
-    return assemble_tdiagram(
-        tuple(tokens), tuple(arrows), w, tuple(tuple(row) for row in edge_marks)
-    )
+    for level, k in ids.items():
+        h, t = heads[k], tails[k]  # the arc h..t holds the valuation
+        arrows.append(Arrow(k, word.slices[level].sign, prefix[t] - prefix[h] + (0 if h < t else w)))
+    return assemble_tdiagram(tuple(tokens), tuple(arrows), w, rows)
 
 
 def extract_tdiagram(word: SliceWord) -> TDiagram:

@@ -325,6 +325,72 @@ def brute_curve_count(word) -> int:
     return len({find(x) for x in parent})
 
 
+def _brute_step(word, levels, g: int, c: int, d: int):
+    """The passage after (g, c, d), and the real crossing met on the way as
+    (level, over) or None: the step rule ``slices._survey`` inlines, one
+    call per passage."""
+    from torogram.slices import Cap, Cup, RealCross, VirtualCross
+
+    m = len(word.slices)
+    if not m:  # every strand runs once round the annulus and closes on itself
+        return (g, c, d), None
+    i = g if d == 1 else (g - 1) % m
+    s = word.slices[i]
+    p = s.position
+    ahead = (g + d) % m
+    if c < p:
+        return (ahead, c, d), None
+    if isinstance(s, (RealCross, VirtualCross)):
+        if c > p + 1:
+            return (ahead, c, d), None
+        other = 2 * p + 1 - c
+        if isinstance(s, VirtualCross):
+            return (ahead, other, d), None
+        rising_left_over = s.sign == levels[i][p - 1] * levels[i][p]
+        # the strand rose from column p when it sits there below the level
+        return (ahead, other, d), (i, rising_left_over == ((c if d == 1 else other) == p))
+    if isinstance(s, Cap if d == 1 else Cup):
+        return (ahead, c + 2, d), None
+    if c <= p + 1:
+        return (g, 2 * p + 1 - c, -d), None
+    return (ahead, c - 2, d), None
+
+
+def brute_survey(word):
+    """``slices._survey`` by the step rule: every curve walked from a set of
+    (gap, column, direction) states, one call per passage, and every trail
+    kept.  Returns (report, levels, first trail, curve count)."""
+    from torogram.slices import SliceReport, _dir_text, _levels
+
+    levels, problem = _levels(word)
+    if problem is None and levels[-1] != word.bottom:
+        problem = (
+            f"top boundary {_dir_text(levels[-1])!r} does not close up with "
+            f"bottom {_dir_text(word.bottom)!r}"
+        )
+    if problem is not None:
+        return SliceReport(False, (problem,)), levels, [], 0
+    seen: set = set()
+    curves = []
+    for g in range(max(len(word.slices), 1)):  # the top gap is gap 0
+        for c, d in enumerate(levels[g], start=1):
+            state, trail = (g, c, d), []
+            while state not in seen:
+                seen.add(state)
+                trail.append(("line", *state))
+                state, hit = _brute_step(word, levels, *state)
+                if hit is not None:
+                    trail.append(("cross", *hit))
+            if trail:
+                curves.append(trail)
+    if len(curves) == 1:
+        return SliceReport(True, ()), levels, curves[0], 1
+    problem = (
+        f"{len(curves)} closed curves, need exactly one" if curves else "the word draws nothing"
+    )
+    return SliceReport(False, (problem,)), levels, curves[0] if curves else [], len(curves)
+
+
 def _rotation_key(tokens, arrows, shift: int):
     """Comparison key of one rotation, insensitive to arrow relabeling: token
     kinds with arrows numbered by first appearance, then signs, then

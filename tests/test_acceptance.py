@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -50,7 +51,13 @@ from torogram.refine import (
     non_negative_refinement,
     positive_refinement,
 )
-from torogram.slices import VirtualCross, extract_tdiagram, represent_tdiagram
+from torogram.slices import (
+    VirtualCross,
+    extract_tdiagram,
+    parse_sliceword,
+    represent_tdiagram,
+    validate_sliceword,
+)
 
 from gen import random_braid_word, random_dgd, random_real_sliceword, random_tdiagram
 from oracles import (
@@ -404,3 +411,17 @@ def test_an_800_crossing_closure_refines_minimally_and_rebuilds_fast():
     drawn = reconstruct(g)
     assert time.perf_counter() - t0 < 0.25
     assert drawn.refinement == t
+
+
+def test_a_word_of_many_curves_validates_in_bounded_memory():
+    # every curve's trail was kept, so memory grew with the square of the
+    # word: 18 MB here, and 4.3 GB for 3000 caps and cups
+    word = parse_sliceword("bottom\n" + "cap 1 +\n" * 200 + "cup 1\n" * 200)
+    tracemalloc.start()
+    try:
+        report = validate_sliceword(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.problems == ("200 closed curves, need exactly one",)
+    assert peak < 4 * 2**20

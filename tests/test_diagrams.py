@@ -156,6 +156,24 @@ def test_constructor_rejects_malformed_input():
         TDiagram(g, ((), (2,)))
     with pytest.raises(InvalidDiagram):
         TDiagram(g, ((),))
+    # the first fault in sequence order is named, whatever else is wrong
+    one, two = (Arrow(1, 1, 0),), (Arrow(1, 1, 0), Arrow(2, -1, 1))
+    for tokens, arrows, message in (
+        ((("X", 1), ("T", 1)), one, "unknown token kind 'X'"),
+        ((("H", 1), (1, 1)), one, "unknown token kind 1"),
+        (((1, 1), ("H", 1)), one, "unknown token kind 1"),
+        ((("H", 1), ("T", 3)), one, "token for undeclared arrow 3"),
+        ((("H", 1), ("T", 1), ("H", 1), ("H", 2), ("T", 2)), two, "duplicate token H1"),
+        ((("H", 1),), one, "expected 2 tokens for 1 arrows, got 1"),
+        ((("H", 1), ("T", 1), ("H", 2)), two, "expected 4 tokens for 2 arrows, got 3"),
+        ((("H", 1), ("H", 1), ("X", 2)), two, "duplicate token H1"),
+        ((("H", 1), ("X", 2), ("H", 1)), two, "unknown token kind 'X'"),
+        ((("T", 2), ("H", 5), (1, 1), ("T", 2)), two, "token for undeclared arrow 5"),
+    ):
+        for given in (tokens, tuple(Token(*tok) for tok in tokens)):
+            with pytest.raises(InvalidDiagram) as exc:
+                DecoratedGaussDiagram(given, arrows, 0)
+            assert str(exc.value) == message, given
 
 
 def test_reference_counts_solve_the_defining_equations():

@@ -17,6 +17,7 @@ from torogram.slices import (
     SliceWord,
     VirtualCross,
     _represent_parked,
+    _survey,
     crossing_records,
     direction_levels,
     extract_tdiagram,
@@ -35,7 +36,7 @@ from gen import (
     random_tdiagram,
     t_diagrams,
 )
-from oracles import brute_curve_count
+from oracles import brute_curve_count, brute_survey
 
 MARKED_THREE = """\
 circle 2
@@ -126,6 +127,20 @@ def test_parse_error_carries_line_number():
     assert exc.value.line == 3
 
 
+def test_parse_shares_one_record_per_distinct_line():
+    word = parse_sliceword("bottom + +\ncross 1 +\ncross 1 +\ncross 1 -\ncross 1 +\n")
+    assert word.slices == (RealCross(1, 1), RealCross(1, 1), RealCross(1, -1), RealCross(1, 1))
+    assert word.slices[0] is word.slices[1] is word.slices[3]
+    # a repeated bad line fails where it first appears; a second bottom still fails
+    for text, line, fragment in (
+        ("bottom +\ncup 9 9\ncup 9 9\n", 2, "cup takes"),
+        ("bottom +\ncross 1 +\ncross 1 +\nbottom +\n", 4, "repeated bottom"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_sliceword(text)
+        assert exc.value.line == line and fragment in str(exc.value)
+
+
 # -- validation
 
 
@@ -182,6 +197,22 @@ def test_curve_count_matches_the_union_find_oracle():
         elif curves > 1:
             assert report.problems == (f"{curves} closed curves, need exactly one",)
     assert min(seen.values()) > 50  # empty, single and multi-curve words all occur
+
+
+def test_survey_matches_the_step_walk():
+    """Same report, levels, first trail and curve count as the step rule
+    walked one call per passage, on valid and invalid words alike."""
+    rng = random.Random(20261020)
+    words = [random_closed_sliceword(rng) for _ in range(400)]
+    words += [random_real_sliceword(rng, max_crossings=8) for _ in range(100)]
+    words += [_represent_parked(random_tdiagram(rng, max_arrows=5)) for _ in range(100)]
+    words += [braid_to_sliceword(random_braid_word(rng)) for _ in range(100)]
+    words += [_random_word(rng) for _ in range(400)]
+    counts = set()
+    for word in words:
+        assert _survey(word) == brute_survey(word), word
+        counts.add(min(_survey(word)[3], 2))
+    assert counts == {0, 1, 2}
 
 
 # -- representation

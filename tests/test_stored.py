@@ -10,6 +10,7 @@ import pytest
 import torogram.admit as admit
 import torogram.rebuild as rebuild
 from torogram import (
+    canonical_serialize,
     check_admissible,
     level_decomposition,
     parse_braid,
@@ -109,6 +110,8 @@ def test_stored_values_stay_out_of_eq_hash_and_repr():
     transition_graph(g)
     reconstruct(g)
     whitney_index(g)
+    canonical_serialize(g)
+    canonical_serialize(t)
     for filled, fresh in ((word, fresh_word), (t, fresh_t), (g, fresh_g)):
         assert filled == fresh and fresh == filled
         assert hash(filled) == hash(fresh)
