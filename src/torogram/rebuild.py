@@ -2,17 +2,41 @@
 
 A decorated Gauss diagram whose decorations are not all zero can sometimes be
 drawn as a real (virtual-free) knot diagram in the annulus.  The route taken
-here: pick the cheapest refinement, cut the knot at its markings, turn each
-group of arcs that share crossings into a tangle piece with an explicit
-rotation system, then line the pieces up so the cut points meet the section
-in matching columns.  Every obstruction along the way (a piece that does not
-draw flat, ends spread over several faces, columns that refuse to pair up,
-a glued surface that is not an annulus) raises :class:`NotRealRealizable`
-with the reason, rather than silently producing a wrong picture.
+here: pick the cheapest refinement, cut the knot open at its markings, glue
+the cut ends back together, and read the picture off the faces of the glued
+map; the signs and H/T ends fix the rotation at every crossing, so this map is
+the curve's Carter surface (Carter, *Proc. AMS* 111, 1991; Kamada & Kamada,
+*JKTR* 9, 2000).
+
+The criterion.  With n crossings and k markings, a real picture exists
+exactly when the glued map has n + 2 faces and the face classes are
+{+1, -1, 0 x n}.  Cut j has face A on the side of ``end_dart(j, 0)`` and face
+B on the side of ``end_dart(j - 1, 1)``; its dual edge runs B -> A for a +1
+marking and A -> B for a -1 marking, and a face's class is its in-degree
+minus its out-degree.  The columns, left to right, are the cuts met by the
+dual path from the class -1 face to the class +1 face.  Why this is sound:
+
+1. Gluing restores the curve, so n + 2 faces means genus 0: the map lies on
+   a sphere.
+2. Under the class condition the k oriented dual edges form a 1-chain from
+   the -1 face to the +1 face, which splits into one directed path plus
+   directed dual cycles.
+3. A dual cycle is a closed curve in the twice-punctured sphere with
+   algebraic intersection 0 with every arrow loop and with the circle, so
+   removing it keeps every valuation with fewer markings.  The refinement
+   is minimal, so no such cycle exists, and the path is simple.
+4. Once the two end faces are punctured, that path is a section meeting the
+   knot exactly at the markings, in walk order.
+5. An arc splitting the cut-open tangle would lie inside one face the path
+   visits once; it would bound a knot-free disc, so a picture is always one
+   piece.
+
+Either failed condition raises :class:`NotRealRealizable` with its reason;
+both can be re-checked from the face map alone.
 
 Darts are triples ``(arc, segment, side)``; side 1 sits at the segment's end
 in knot order.  Vertices are crossings ``("x", id)`` and loose ends
-``("end", arc, side)`` until the gluing step merges mated ends.
+``("end", arc, side)``; gluing joins the two ends cut at each marking.
 """
 from __future__ import annotations
 
@@ -62,7 +86,8 @@ class _Web:
                 signs.append(s)
                 arcs.append([])
         if not arcs:
-            raise NotRealRealizable("nothing to cut: the refinement has no markings")
+            # a full diagram has a nonzero valuation, so its counts are nonzero
+            raise RuntimeError("a minimal refinement of a full diagram has no markings")
         arcs[-1] += lead
         self.t = t
         self.base = base
@@ -70,12 +95,13 @@ class _Web:
         self.signs = signs
         self.segs = [len(a) + 1 for a in arcs]
 
-        self.at: dict[int, tuple[int, int]] = {}
+        at: dict[int, tuple[int, int]] = {}
         for a, toks in enumerate(arcs):
             for i, p in enumerate(toks):
-                self.at[p] = (a, i)
+                at[p] = (a, i)
 
         vertex_of: dict[Dart, tuple] = {}
+        # ends first, then crossings by id: the order ComponentMap lists them in
         rotation: dict[tuple, tuple[Dart, ...]] = {}
         for a in range(k):
             vertex_of[(a, 0, 0)] = ("end", a, 0)
@@ -85,8 +111,8 @@ class _Web:
         self.over: set[Dart] = set()
         for arrow in base.arrows:
             h, tl = base.positions[arrow.id]
-            ah, ih = self.at[h]
-            at_, it_ = self.at[tl]
+            ah, ih = at[h]
+            at_, it_ = at[tl]
             oi, oo = (ah, ih, 1), (ah, ih + 1, 0)
             ui, uo = (at_, it_, 1), (at_, it_ + 1, 0)
             v = ("x", arrow.id)
@@ -103,164 +129,61 @@ class _Web:
                 succ[d] = ring[(i + 1) % len(ring)]
         self.succ = succ
 
-    def end_marking(self, a: int, side: int) -> int:
-        return a if side == 0 else (a + 1) % self.k
-
     def end_is_bottom(self, a: int, side: int) -> bool:
-        s = self.signs[self.end_marking(a, side)]
-        return s == 1 if side == 0 else s == -1
-
-    def end_mate(self, a: int, side: int) -> tuple[int, int]:
-        """The other loose end cut at the same marking."""
         if side == 0:
-            return ((a - 1) % self.k, 1)
-        return ((a + 1) % self.k, 0)
+            return self.signs[a] == 1
+        return self.signs[(a + 1) % self.k] == -1
 
     def end_dart(self, a: int, side: int) -> Dart:
         return (a, 0, 0) if side == 0 else (a, self.segs[a] - 1, 1)
 
 
-def _faces(succ: dict[Dart, Dart]) -> list[tuple[Dart, ...]]:
-    """Orbits of dart -> rotation successor of its reverse."""
-    seen: set[Dart] = set()
-    faces = []
+def _faces(succ: dict[Dart, Dart]) -> tuple[dict[Dart, int], int]:
+    """The face number of every dart, faces being the orbits of dart ->
+    rotation successor of its reverse, and the number of faces."""
+    face_of: dict[Dart, int] = {}
+    count = 0
     for d0 in succ:
-        if d0 in seen:
+        if d0 in face_of:
             continue
-        face = []
         d = d0
-        while d not in seen:
-            seen.add(d)
-            face.append(d)
+        while d not in face_of:
+            face_of[d] = count
             d = succ[_alpha(d)]
-        faces.append(tuple(face))
-    return faces
+        count += 1
+    return face_of, count
 
 
-def _classes(items, links) -> dict:
-    """Union-find: the class representative of every item once the linked
-    pairs are joined."""
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return {x: find(x) for x in parent}
-
-
-def _components(web: _Web) -> list[list[int]]:
-    """Groups of arcs that share crossings, each a tangle piece."""
-    positions = [web.base.positions[arrow.id] for arrow in web.base.arrows]
-    classes = _classes(range(web.k), ((web.at[h][0], web.at[tl][0]) for h, tl in positions))
-    groups: dict[int, list[int]] = {}
-    for a, root in classes.items():
-        groups.setdefault(root, []).append(a)
-    return sorted(groups.values(), key=min)
-
-
-def _component_ends(web: _Web, arcs: list[int], faces, where: dict[Dart, int]):
-    """(bottoms, tops) of one piece, left to right, or the reason it fails;
-    ``where`` numbers the face of every dart, and no face crosses pieces."""
-    darts = [(a, i, side) for a in arcs for i in range(web.segs[a]) for side in (0, 1)]
-    vcount = len({web.vertex_of[d] for d in darts})
-    fcount = len({where[d] for d in darts})
-    if vcount - len(darts) // 2 + fcount != 2:
-        raise NotRealRealizable("a tangle piece does not draw flat in the plane")
-    outer_ids = {where[web.end_dart(a, s)] for a in arcs for s in (0, 1)}
-    if len(outer_ids) != 1:
-        raise NotRealRealizable("loose ends of a piece spread over several faces")
-    outer = faces[outer_ids.pop()]
-    seq = [
-        (web.vertex_of[d][1], web.vertex_of[d][2])
-        for d in outer
-        if web.vertex_of[d][0] == "end"
-    ]
-    flags = [web.end_is_bottom(*e) for e in seq]
-    if all(flags) or not any(flags):
-        raise NotRealRealizable("a piece touches only one side of the section")
-    switches = sum(1 for i in range(len(flags)) if flags[i] != flags[i - 1])
-    if switches != 2:
-        raise NotRealRealizable("bottom and top ends of a piece interleave")
-    start = next(i for i in range(len(flags)) if flags[i] and not flags[i - 1])
-    ordered = seq[start:] + seq[:start]
-    nb = sum(flags)
-    # walking the outer face lists bottoms left to right but tops right to
-    # left; the start at the one bottom-after-top switch fixes the order
-    return ordered[:nb], list(reversed(ordered[nb:]))
-
-
-def _order_components(web: _Web, comp_ends: list[tuple[list, list]]):
-    """Left-to-right placement of the pieces, then the column pairing check."""
-    owner: dict[tuple[int, int], int] = {}
-    for i, (bots, tops) in enumerate(comp_ends):
-        for e in bots:
-            owner[e] = i
-        for e in tops:
-            owner[e] = i
-    first = [
-        i
-        for i, (bots, tops) in enumerate(comp_ends)
-        if web.end_mate(*bots[0]) == tops[0]
-    ]
-    if len(first) != 1:
-        raise NotRealRealizable("no single piece can sit leftmost against the boundary")
-    order = [first[0]]
-    remaining = set(range(len(comp_ends))) - {first[0]}
-    while remaining:
-        nxt = None
-        for which in (0, 1):  # placed bottoms first, then placed tops
-            for i in order:
-                for e in comp_ends[i][which]:
-                    j = owner[web.end_mate(*e)]
-                    if j in remaining:
-                        nxt = j
-                        break
-                if nxt is not None:
-                    break
-            if nxt is not None:
-                break
-        if nxt is None:
-            raise NotRealRealizable("the pieces do not chain up left to right")
-        order.append(nxt)
-        remaining.discard(nxt)
-    bottoms = [e for i in order for e in comp_ends[i][0]]
-    tops = [e for i in order for e in comp_ends[i][1]]
-    if len(bottoms) != web.k or len(tops) != web.k:
-        raise RuntimeError("the pieces do not hold every loose end once")
-    for b, tp in zip(bottoms, tops):
-        if web.end_mate(*b) != tp:
-            raise NotRealRealizable("cut points do not pair up column by column")
-    return order, bottoms, tops
-
-
-def _glued_face_check(web: _Web) -> None:
-    """Merge mated ends and demand an annulus: crossings + 2 faces, and the
-    multiset of face winding classes exactly {+1, -1, 0, ...}."""
+def _columns(web: _Web) -> tuple[int, ...]:
+    """Glue the mated ends back and read the markings in the order the
+    section's dual path crosses them, or say why the glued surface is no
+    annulus with the right windings (see the module docstring)."""
+    k = web.k
     succ = dict(web.succ)  # a loose end is its own successor until glued
-    for j in range(web.k):
-        before, after = web.end_dart((j - 1) % web.k, 1), web.end_dart(j, 0)
+    for j in range(k):
+        before, after = web.end_dart((j - 1) % k, 1), web.end_dart(j, 0)
         succ[before], succ[after] = after, before
-    faces = _faces(succ)
-    if len(faces) != web.base.n + 2:
+    face_of, count = _faces(succ)
+    if count != web.base.n + 2:
         raise NotRealRealizable("the glued surface is not an annulus")
-    classes = []
-    for face in faces:
-        c = 0
-        for d in face:
-            v = web.vertex_of[_alpha(d)]
-            if v[0] == "end":  # across the cut at marking j: +sign into it, -sign out
-                j = web.end_marking(v[1], v[2])
-                c += web.signs[j] if v[2] == 1 else -web.signs[j]
-        classes.append(c)
-    if sorted(classes) != sorted([1, -1] + [0] * web.base.n):
+    winding = [0] * count  # in-degree minus out-degree in the dual graph
+    leaving: dict[int, tuple[int, int]] = {}  # face -> (cut, face across it)
+    for j in range(k):
+        a, b = face_of[web.end_dart(j, 0)], face_of[web.end_dart((j - 1) % k, 1)]
+        tail, head = (b, a) if web.signs[j] == 1 else (a, b)
+        winding[head] += 1
+        winding[tail] -= 1
+        leaving[tail] = (j, head)
+    if sorted(winding) != [-1] + [0] * web.base.n + [1]:
         raise NotRealRealizable("the glued faces wind wrongly around the annulus")
+    at, goal = winding.index(-1), winding.index(1)
+    columns: list[int] = []
+    while at != goal and len(columns) < k:
+        j, at = leaving[at]
+        columns.append(j)
+    if at != goal or len(set(columns)) != k:
+        raise RuntimeError("a dual cycle off the section's path: the refinement is not minimal")
+    return tuple(columns)
 
 
 def _dart_label(d: Dart) -> str:
@@ -273,8 +196,9 @@ def _vertex_label(v: tuple) -> str:
 
 @record
 class ComponentMap:
-    """One tangle piece: its arcs and crossings, the rotation system that
-    pins down the drawing, and its strand ends left to right on each side."""
+    """The cut-open knot as one tangle piece: its arcs and crossings, the
+    rotation system that pins down the drawing, and its strand ends left to
+    right on each side."""
 
     arcs: tuple[int, ...]
     crossings: tuple[int, ...]
@@ -285,9 +209,9 @@ class ComponentMap:
 
 @record(hidden=("word",))
 class AnnularDiagram:
-    """A real diagram of the annulus: tangle pieces in left-to-right order
-    plus, per boundary column, the marking whose cut point sits there, and
-    the slice word swept from them once, at construction."""
+    """A real diagram of the annulus: its one tangle piece plus, per boundary
+    column, the marking whose cut point sits there, and the slice word swept
+    from them once, at construction."""
 
     refinement: TDiagram
     components: tuple[ComponentMap, ...]
@@ -295,25 +219,16 @@ class AnnularDiagram:
     word: SliceWord
 
 
-def _component_map(web: _Web, arcs: list[int], ends) -> ComponentMap:
-    bottoms, tops = ends
-    arcset = set(arcs)
-    crossings = sorted(
-        a.id for a in web.base.arrows if web.at[web.base.positions[a.id][0]][0] in arcset
-    )
-    rows = []
-    for v, ring in web.rotation.items():
-        if ring[0][0] not in arcset:
-            continue
-        key = (1, v[1], 0) if v[0] == "x" else (0, v[1], v[2])
-        rows.append((key, (_vertex_label(v), tuple(_dart_label(d) for d in ring))))
-    rows.sort()
+def _component_map(web: _Web, columns: tuple[int, ...]) -> ComponentMap:
     return ComponentMap(
-        arcs=tuple(arcs),
-        crossings=tuple(crossings),
-        rotation=tuple(r for _, r in rows),
-        bottoms=tuple(_vertex_label(("end", a, s)) for a, s in bottoms),
-        tops=tuple(_vertex_label(("end", a, s)) for a, s in tops),
+        arcs=tuple(range(web.k)),
+        crossings=tuple(a.id for a in web.base.arrows),
+        rotation=tuple(
+            (_vertex_label(v), tuple(_dart_label(d) for d in ring))
+            for v, ring in web.rotation.items()
+        ),
+        bottoms=tuple(_vertex_label(("end", *_bottom_end(web, j))) for j in columns),
+        tops=tuple(_vertex_label(("end", *_top_end(web, j))) for j in columns),
     )
 
 
@@ -327,21 +242,16 @@ def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
 
 @_stored("_realized", (NotFull, NotRealRealizable))
 def _rebuilt(g: DecoratedGaussDiagram) -> AnnularDiagram:
-    """Cut the cheapest refinement open, order its pieces left to right,
-    and sweep the picture once, or say why no real picture exists."""
+    """Cut the cheapest refinement open, decide on the glued surface alone
+    whether it draws in the annulus, read its columns off the section's dual
+    path, and sweep the picture once."""
     if not is_full(g):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
     web = _Web(minimal_refinement(g))
-    comps = _components(web)
-    faces = _faces(web.succ)
-    where = {d: i for i, face in enumerate(faces) for d in face}
-    comp_ends = [_component_ends(web, arcs, faces, where) for arcs in comps]
-    order, bottoms, _ = _order_components(web, comp_ends)
-    _glued_face_check(web)
-    columns = tuple(web.end_marking(*e) for e in bottoms)
+    columns = _columns(web)
     return AnnularDiagram(
         refinement=web.t,
-        components=tuple(_component_map(web, comps[i], comp_ends[i]) for i in order),
+        components=(_component_map(web, columns),),
         column_markings=columns,
         word=_sweep(web, columns),
     )
@@ -391,6 +301,13 @@ class _Wire:
 def _push(web: _Web, exit_dart: Dart) -> _Wire:
     d = _alpha(exit_dart)
     return _Wire((exit_dart[0], exit_dart[1]), d, 1 if d[2] == 1 else -1)
+
+
+def _bottom_end(web: _Web, j: int) -> tuple[int, int]:
+    """The loose end that enters at the bottom of marking j's column."""
+    if web.signs[j] == 1:
+        return (j, 0)
+    return ((j - 1) % web.k, 1)
 
 
 def _top_end(web: _Web, j: int) -> tuple[int, int]:
@@ -473,14 +390,7 @@ def _sweep(web: _Web, columns: tuple[int, ...]) -> SliceWord:
     meets the glued boundary exactly at the chosen columns."""
     k = web.k
     tops = [_top_end(web, m) for m in columns]
-    wires: list[_Wire] = []
-    for m in columns:
-        if web.signs[m] == 1:
-            wires.append(_Wire((m, 0), (m, 0, 1), 1))
-        else:
-            prev = (m - 1) % k
-            last = web.segs[prev] - 1
-            wires.append(_Wire((prev, last), (prev, last, 0), -1))
+    wires = [_push(web, web.end_dart(*_bottom_end(web, m))) for m in columns]
     slices: list = []
     placed: set = set()
     # no rule births a crossing-free arc: one with both ends on top needs a
@@ -560,6 +470,24 @@ def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram):
         counter[e] = r + 1
         table[(l, c)] = (e, r, d)
     return table
+
+
+def _classes(items, links) -> dict:
+    """Union-find: the class representative of every item once the linked
+    pairs are joined."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
 
 
 def _region_classes(word: SliceWord, levels) -> dict[tuple[int, int], tuple[int, int]]:

@@ -562,3 +562,72 @@ def brute_section(word, t):
                 )
                 return TDiagram(t.base, marks), tuple(seq)
     raise AssertionError("no transverse path: the drawing should admit one")
+
+
+def glued_surface_faces(g: DecoratedGaussDiagram):
+    """The faces of the curve's own surface and every ordered face pair
+    whose Alexander numbering gives the decorations, for
+    ``rebuild.reconstruct``'s glued-surface test.
+
+    Built straight from tokens and signs: edge e runs from token e to token
+    e + 1, half-edge (e, 0) leaves token e and (e, 1) enters token e + 1.
+    Counterclockwise around a positive crossing the half-edges run over-out,
+    under-out, over-in, under-in, and over-out, under-in, over-in, under-out
+    around a negative one; the H end is the over strand.  A face is an orbit
+    of half-edge -> rotation successor of its other half.  Crossing edge e
+    from the face of (e, 1) to the face of (e, 0) moves the winding vector
+    by the loops holding e: each arrow's loop runs from its H to its T, and
+    the circle holds every edge.  Both orders of every pair are tried, so
+    which side counts as which does not matter.  Returns (face count,
+    pairs); the pairs are only searched when the face count gives a
+    sphere, n + 2.
+    """
+    n, m = g.n, max(2 * g.n, 1)
+    loops = valuation_matrix(g)
+    target = tuple(a.valuation for a in g.arrows) + (g.circle_valuation,)
+    if n == 0:  # one edge, no crossing: the two sides of the circle
+        face = {(0, 0): 0, (0, 1): 1}
+    else:
+        after: dict[tuple[int, int], tuple[int, int]] = {}
+        for a in g.arrows:
+            h, t = g.positions[a.id]
+            o_out, o_in = (h, 0), ((h - 1) % m, 1)
+            u_out, u_in = (t, 0), ((t - 1) % m, 1)
+            if a.sign == 1:
+                ring = (o_out, u_out, o_in, u_in)
+            else:
+                ring = (o_out, u_in, o_in, u_out)
+            for i in range(4):
+                after[ring[i]] = ring[(i + 1) % 4]
+        face = {}
+        for start in after:
+            half, number = start, len(set(face.values()))
+            while half not in face:
+                face[half] = number
+                half = after[(half[0], 1 - half[1])]
+    count = len(set(face.values()))
+    if count != n + 2:
+        return count, []
+    # Alexander numbering by search over the dual graph from face 0
+    winding: dict[int, tuple[int, ...]] = {0: (0,) * len(loops)}
+    grown = True
+    while grown:
+        grown = False
+        for e in range(m):
+            step = tuple(row[e] for row in loops)
+            src, dst = face[(e, 1)], face[(e, 0)]
+            for p, q, s in ((src, dst, 1), (dst, src, -1)):
+                if p in winding:
+                    want = tuple(x + s * y for x, y in zip(winding[p], step))
+                    if q not in winding:
+                        winding[q] = want
+                        grown = True
+                    elif winding[q] != want:
+                        raise AssertionError("a sphere's winding numbers must be consistent")
+    pairs = [
+        (p, q)
+        for p in winding
+        for q in winding
+        if tuple(x - y for x, y in zip(winding[p], winding[q])) == target
+    ]
+    return count, pairs

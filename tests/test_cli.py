@@ -217,7 +217,7 @@ def test_reconstruct_reports_unreal_input(capsys, tmp_path):
     p.write_text("circle 2\narrows 0\nseq\n")
     code, out, _ = run(capsys, "reconstruct", str(p))
     assert code == 1
-    assert "leftmost" in out
+    assert "wind" in out
 
 
 def test_whitney_of_the_trefoil(capsys, trefoil):
@@ -330,7 +330,7 @@ def test_internal_fault_keeps_a_batch_going(capsys, monkeypatch, tmp_path):
 def test_no_assert_guards_the_program():
     # python -O strips assert statements; every check must be a real raise
     src = Path(torogram.cli.__file__).parent
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert found == [], f"{path.name} asserts at lines {found}"

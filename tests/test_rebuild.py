@@ -3,8 +3,8 @@ import random
 import pytest
 
 from torogram import canonical_serialize, parse_diagram
-from torogram.braid import braid_to_sliceword
-from torogram.diagrams import TDiagram
+from torogram.braid import Letter, VirtualBraidWord, braid_to_sliceword, closure_permutation_of
+from torogram.diagrams import TDiagram, is_full
 from torogram.errors import InvalidDiagram, NotFull, NotRealRealizable
 from torogram.rebuild import (
     annular_to_json,
@@ -32,7 +32,7 @@ from gen import (
     scrambled_copy,
     scrambled_tdiagram,
 )
-from oracles import brute_section, turning_number
+from oracles import brute_section, glued_surface_faces, turning_number
 
 THREE_TWISTS = parse_diagram(
     "circle 2\n"
@@ -42,6 +42,11 @@ THREE_TWISTS = parse_diagram(
     "arrow 2 sign + val 1\n"
     "arrow 3 sign + val 1\n"
 )
+
+GLUED_REASONS = {
+    "the glued surface is not an annulus",
+    "the glued faces wind wrongly around the annulus",
+}
 
 TWISTED_THRICE = SliceWord((1, 1), (RealCross(1, 1), RealCross(1, 1), RealCross(1, 1)))
 
@@ -80,7 +85,7 @@ def test_doubly_wound_circle_is_rejected():
     double = parse_diagram("circle 2\narrows 0\nseq\n")
     with pytest.raises(NotRealRealizable) as info:
         reconstruct(double)
-    assert "leftmost" in info.value.reason
+    assert "wind" in info.value.reason
 
 
 def test_interleaved_arrows_do_not_draw_flat():
@@ -90,7 +95,7 @@ def test_interleaved_arrows_do_not_draw_flat():
     )
     with pytest.raises(NotRealRealizable) as info:
         reconstruct(interleaved)
-    assert "flat" in info.value.reason
+    assert "annulus" in info.value.reason
 
 
 def test_undecorated_diagram_has_no_real_picture():
@@ -119,7 +124,7 @@ def test_whitney_index_fails_as_reconstruct_does():
             assert str(got.value) == str(want)
             kinds.add((type(want), str(want)))
     assert {kind for kind, _ in kinds} == {NotFull, NotRealRealizable}
-    assert len(kinds) >= 4
+    assert {reason for kind, reason in kinds if kind is NotRealRealizable} == GLUED_REASONS
 
 
 def test_whitney_index_first_fails_as_reconstruct_then_does():
@@ -145,7 +150,95 @@ def test_whitney_index_first_fails_as_reconstruct_then_does():
             reconstruct(g)  # draws, as whitney_index did
             assert whitney_index(g) == n
     assert {kind for kind, _ in kinds} == {NotFull, NotRealRealizable}
-    assert len(kinds) >= 4
+    assert {reason for kind, reason in kinds if kind is NotRealRealizable} == GLUED_REASONS
+
+
+@pytest.fixture(scope="module")
+def glued_corpus():
+    """Full diagrams with their oracle faces and rebuild outcome: mixed-sign
+    random diagrams of 0-7 arrows, then the diagrams of real drawings."""
+    rng = random.Random(83)
+    diagrams = [random_dgd(rng, max_arrows=7) for _ in range(3200)]
+    diagrams += [extract_tdiagram(random_real_sliceword(rng)).base for _ in range(200)]
+    cases = []
+    for g in diagrams:
+        if not is_full(g):
+            continue
+        try:
+            reconstruct(g)
+            outcome = None
+        except NotRealRealizable as e:
+            outcome = e.reason
+        cases.append((g, *glued_surface_faces(g), outcome))
+    return cases
+
+
+def test_rebuild_succeeds_exactly_when_a_face_pair_matches(glued_corpus):
+    assert len(glued_corpus) >= 3000
+    for g, _, pairs, outcome in glued_corpus:
+        assert (outcome is None) == bool(pairs), canonical_serialize(g)
+    assert sum(outcome is None for *_, outcome in glued_corpus) >= 300
+
+
+def test_rebuild_names_the_glued_surface_fault(glued_corpus):
+    for g, count, pairs, outcome in glued_corpus:
+        if count != g.n + 2:
+            assert outcome == "the glued surface is not an annulus"
+        elif not pairs:
+            assert outcome == "the glued faces wind wrongly around the annulus"
+    assert {outcome for *_, outcome in glued_corpus} == GLUED_REASONS | {None}
+
+
+def _mixed_closure(rng, strands, letters):
+    """A braid word of ``letters`` random s/S letters whose closure is a knot;
+    ``letters`` must be congruent to ``strands - 1`` mod 2."""
+    while True:
+        drawn = tuple(
+            Letter(rng.choice("sS"), rng.randint(1, strands - 1)) for _ in range(letters)
+        )
+        exits = closure_permutation_of(strands, drawn)
+        seen, at = 1, exits[0]
+        while at != 0:
+            at = exits[at]
+            seen += 1
+        if seen == strands:
+            return VirtualBraidWord(strands, drawn)
+
+
+def _assert_one_piece_along_the_columns(g):
+    a = reconstruct(g)
+    signs = [s for edge in a.refinement.markings for s in edge]
+    k = len(signs)
+    columns = a.column_markings
+    assert sorted(columns) == list(range(k))
+    (piece,) = a.components
+    assert piece.arcs == tuple(range(k))
+    assert piece.bottoms == tuple(
+        f"end{j}.0" if signs[j] == 1 else f"end{(j - 1) % k}.1" for j in columns
+    )
+    assert piece.tops == tuple(
+        f"end{(j - 1) % k}.1" if signs[j] == 1 else f"end{j}.0" for j in columns
+    )
+    word = to_sliceword(a)
+    assert word.bottom == tuple(signs[j] for j in columns)
+    assert canonical_serialize(extract_tdiagram(word).base) == canonical_serialize(g)
+
+
+@pytest.mark.parametrize("strands", [2, 5, 16])
+def test_mixed_sign_closures_of_800_crossings_rebuild_as_one_piece(strands):
+    rng = random.Random(800 + strands)
+    word = _mixed_closure(rng, strands, 800 + (strands - 1) % 2)
+    assert {letter.kind for letter in word.letters} == {"s", "S"}
+    _assert_one_piece_along_the_columns(extract_tdiagram(braid_to_sliceword(word)).base)
+
+
+def test_large_real_drawings_rebuild_as_one_piece():
+    rng = random.Random(89)
+    for _ in range(12):
+        word = random_real_sliceword(
+            rng, max_strands=10, max_front=30, min_crossings=20, max_crossings=80
+        )
+        _assert_one_piece_along_the_columns(extract_tdiagram(word).base)
 
 
 def test_whitney_index_of_the_fixtures():
