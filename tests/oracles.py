@@ -499,12 +499,83 @@ def brute_zero_cycle(g: DecoratedGaussDiagram) -> bool:
     return True
 
 
+def _passage_table(reading, drawn):
+    """Where the drawn knot pierces each horizontal line, keyed by (line,
+    column): the edge of ``drawn``, the rank along that edge in knot order,
+    and the strand direction."""
+    m = 2 * len(reading.arrows)
+    trail = reading.trail
+    # from the first crossing on, the passages before it close the last edge
+    first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
+    table = {}
+    counter = defaultdict(int)
+    seen = 0
+    for ev in trail[first:] + trail[:first]:
+        if ev[0] == "cross":
+            seen += 1
+            continue
+        _, l, c, d = ev
+        e = (seen - 1 - drawn._rotation) % m if m else 0
+        table[(l, c)] = (e, counter[e], d)
+        counter[e] += 1
+    return table
+
+
+def _classes(items, links) -> dict:
+    """Union-find: the class representative of every item once the linked
+    pairs are joined."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
+
+
+def _region_classes(word, levels) -> dict:
+    """Classes of the gaps (line, gap index) between strands; a class is one
+    connected piece of the cut-open annulus minus the knot."""
+    from torogram.slices import Cap, RealCross, VirtualCross
+
+    lc = max(len(word.slices), 1)
+
+    def links():
+        for i, s in enumerate(word.slices):
+            below = len(levels[i])
+            up = (i + 1) % lc
+            p = s.position
+            if isinstance(s, (RealCross, VirtualCross)):
+                for j in range(below + 1):
+                    if j != p:  # the crossing pinches the gap between its strands
+                        yield (i, j), (up, j)
+            elif isinstance(s, Cap):
+                for j in range(below + 1):
+                    yield (i, j), (up, j if j < p else j + 2)
+                yield (i, p - 1), (up, p + 1)  # around the new tip; gap p is fresh
+            else:
+                for j in range(below + 1):
+                    if j < p:
+                        yield (i, j), (up, j)
+                    elif j >= p + 1:
+                        yield (i, j), (up, j - 2)
+                    # the gap between the dying strands stops here
+
+    gaps = [(l, j) for l in range(lc) for j in range(len(levels[l]) + 1)]
+    return _classes(gaps, links())
+
+
 def brute_section(word, t):
     """``rebuild.find_section`` by plain iterative deepening: every depth from
     1, every simple region path in move order, no distance bound.  Exponential
     in the number of strands; the reference for the pruned search."""
     from torogram.diagrams import TDiagram
-    from torogram.rebuild import _passage_table, _region_classes
     from torogram.slices import _read, _tdiagram
 
     reading = _read(word)

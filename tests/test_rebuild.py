@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from torogram.slices import (
     VirtualCross,
     extract_tdiagram,
     represent_dgd,
+    serialize_sliceword,
 )
 
 from gen import (
@@ -414,3 +417,46 @@ def test_section_needs_a_full_word():
     t = extract_tdiagram(word)
     with pytest.raises(NotFull):
         find_section(word, t)
+
+
+# -- frozen outputs
+
+# sha256 of _rebuild_texts() as computed over tuple darts, wire objects and
+# tuple-keyed section gaps: any change to a rebuilt picture's JSON, drawn
+# word, SVG or Whitney index, to a moved section, or to a rejection reason
+# shows here
+REBUILD_SHA256 = "7029a32dac697e657883e30ab05d9f33a90d8a4019e29bbe88c00895cf665c31"
+
+
+def _rebuild_texts() -> list[str]:
+    rng = random.Random(20261020)
+    drawings = [random_real_sliceword(rng) for _ in range(300)]
+    diagrams = [extract_tdiagram(word).base for word in drawings]
+    diagrams += [random_dgd(rng, max_arrows=7) for _ in range(300)]
+    diagrams.append(extract_tdiagram(braid_to_sliceword(_mixed_closure(rng, 5, 800))).base)
+    out = []
+    for word in drawings:
+        kept, seq = find_section(word, extract_tdiagram(word))
+        out += [canonical_serialize(kept), repr(seq)]
+    for g in diagrams:
+        try:
+            a = reconstruct(g)
+        except (NotFull, NotRealRealizable) as e:
+            out.append(f"{type(e).__name__}: {e}")
+            continue
+        word = to_sliceword(a)
+        kept, seq = find_section(word, extract_tdiagram(word))
+        out += [
+            json.dumps(annular_to_json(a)),
+            serialize_sliceword(word),
+            render_svg(a),
+            str(whitney_index(g)),
+            canonical_serialize(kept),
+            repr(seq),
+        ]
+    return out
+
+
+def test_rebuilt_outputs_are_byte_identical_to_the_frozen_corpus():
+    texts = _rebuild_texts()
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == REBUILD_SHA256
