@@ -2,22 +2,24 @@
 
 A decorated Gauss diagram whose decorations are not all zero can sometimes be
 drawn as a real (virtual-free) knot diagram in the annulus.  The route taken
-here: pick the cheapest refinement, cut the knot open at its markings, glue
-the cut ends back together, and read the picture off the faces of the glued
-map; the signs and H/T ends fix the rotation at every crossing, so this map is
-the curve's Carter surface (Carter, *Proc. AMS* 111, 1991; Kamada & Kamada,
-*JKTR* 9, 2000).
+here: read the faces of the curve's own map, whose rotation at every crossing
+the signs and H/T ends fix, so that it is the curve's Carter surface (Carter,
+*Proc. AMS* 111, 1991; Kamada & Kamada, *JKTR* 9, 2000); then pick the
+cheapest refinement, read its markings' order off those faces, and sweep the
+picture from the knot cut open at its markings.
 
 The criterion.  With n crossings and k markings, a real picture exists
-exactly when the glued map has n + 2 faces and the face classes are
-{+1, -1, 0 x n}.  Cut j has face A on the side of ``end_dart(j, 0)`` and face
-B on the side of ``end_dart(j - 1, 1)``; its dual edge runs B -> A for a +1
-marking and A -> B for a -1 marking, and a face's class is its in-degree
-minus its out-degree.  The columns, left to right, are the cuts met by the
-dual path from the class -1 face to the class +1 face.  Why this is sound:
+exactly when the curve's map has n + 2 faces and the face classes are
+{+1, -1, 0 x n}.  The face count does not depend on the refinement, so it is
+checked before any refinement is computed.  A marking on edge e separates
+face A, that of dart 2e, from face B, that of dart 2e + 1; its dual edge runs
+B -> A for a +1 marking and A -> B for a -1 marking, and a face's class is
+its in-degree minus its out-degree.  The columns, left to right, are the
+markings met by the dual path from the class -1 face to the class +1 face.
+Why this is sound:
 
-1. Gluing restores the curve, so n + 2 faces means genus 0: the map lies on
-   a sphere.
+1. Cutting at the markings and gluing the cut ends back restores the curve,
+   so n + 2 faces means genus 0: the map lies on a sphere.
 2. Under the class condition the k oriented dual edges form a 1-chain from
    the -1 face to the +1 face, which splits into one directed path plus
    directed dual cycles.
@@ -34,11 +36,19 @@ dual path from the class -1 face to the class +1 face.  Why this is sound:
 Either failed condition raises :class:`NotRealRealizable` with its reason;
 both can be re-checked from the face map alone.
 
-Darts are triples ``(arc, segment, side)``; side 1 sits at the segment's end
-in knot order.  Vertices are crossings ``("x", id)`` and loose ends
-``("end", arc, side)``; gluing joins the two ends cut at each marking.
+Darts are ints, two per edge, and the other half of dart d is d ^ 1.  On the
+curve, edge e carries dart 2e, leaving token e, and dart 2e + 1, entering
+token e + 1.  Cut open, arc a runs from marking a to marking a + 1 through
+segments ``first[a]`` to ``first[a + 1] - 1``; segment s carries dart 2s at
+its start and 2s + 1 at its end in knot order, so a loose end is the one
+dart of its segment that meets no crossing.  A strand being drawn is the
+dart it heads for: it lies on segment d >> 1 and runs with the sweep exactly
+when d is odd.  Component maps label crossings ``x<id>``, loose ends
+``end<arc>.<side>`` and darts ``a<arc>s<segment in arc>.<side>``.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .diagrams import (
     DecoratedGaussDiagram,
@@ -63,11 +73,51 @@ from .slices import (
     direction_levels,
 )
 
-Dart = tuple[int, int, int]
+
+def _rotation(base: DecoratedGaussDiagram, into: list[int], size: int):
+    """(succ, over, vertex_of) per dart: its rotation successor at its crossing,
+    whether it runs over, and the crossing's arrow id (0 off crossings).
+    ``into[p]`` is the dart entering token p; the next dart, mod ``size``,
+    leaves it."""
+    succ = [0] * size
+    over = bytearray(size)
+    vertex_of = [0] * size
+    positions = base.positions
+    for arrow in base.arrows:
+        h, tl = positions[arrow.id]
+        oi, ui = into[h], into[tl]
+        oo, uo = (oi + 1) % size, (ui + 1) % size
+        # counterclockwise around the crossing, over strand entering first
+        ring = (oi, ui, oo, uo) if arrow.sign == 1 else (oi, uo, oo, ui)
+        for i in range(4):
+            succ[ring[i - 1]] = ring[i]
+            vertex_of[ring[i]] = arrow.id
+        over[oi] = over[oo] = 1
+    return succ, over, vertex_of
 
 
-def _alpha(d: Dart) -> Dart:
-    return (d[0], d[1], 1 - d[2])
+def _faces(succ: list[int]) -> tuple[list[int], int]:
+    """The face number of every dart, faces being the orbits of dart ->
+    rotation successor of its other half, and the number of faces."""
+    face = [-1] * len(succ)
+    count = 0
+    for d0 in range(len(succ)):
+        if face[d0] >= 0:
+            continue
+        d = d0
+        while face[d] < 0:
+            face[d] = count
+            d = succ[d ^ 1]
+        count += 1
+    return face, count
+
+
+def _curve_faces(g: DecoratedGaussDiagram) -> tuple[list[int], int]:
+    """The faces of the uncut curve's map, darts numbered by edge."""
+    if not g.n:  # one edge, no crossing: the two sides of the circle
+        return [0, 1], 2
+    size = 2 * g.edge_count
+    return _faces(_rotation(g, [(2 * p - 1) % size for p in range(g.edge_count)], size)[0])
 
 
 class _Web:
@@ -76,122 +126,63 @@ class _Web:
 
     def __init__(self, t: TDiagram):
         base = t.base
-        signs: list[int] = []
-        arcs: list[list[int]] = []
-        lead: list[int] = []  # the tokens before the first marking close the last arc
-        for e, row in enumerate(t.markings):
-            if base.n:
-                (arcs[-1] if arcs else lead).append(e)
-            for s in row:
-                signs.append(s)
-                arcs.append([])
-        if not arcs:
+        marks = t.markings
+        m, n = len(marks), base.n
+        start = next((e for e, row in enumerate(marks) if row), None)
+        if start is None:
             # a full diagram has a nonzero valuation, so its counts are nonzero
             raise RuntimeError("a minimal refinement of a full diagram has no markings")
-        arcs[-1] += lead
+        signs: list[int] = []
+        edges: list[int] = []  # the edge of each marking
+        first: list[int] = []
+        into = [0] * m
+        seg = -1  # a marking and a token each start a segment
+        for e in range(start, start + m):  # knot order from the first marking on
+            e %= m
+            for s in marks[e]:
+                seg += 1
+                signs.append(s)
+                edges.append(e)
+                first.append(seg)
+            if n:
+                seg += 1
+                into[(e + 1) % m] = 2 * seg - 1
+        first.append(seg + 1)
         self.t = t
         self.base = base
-        self.k = k = len(arcs)
+        self.k = len(signs)
         self.signs = signs
-        self.segs = [len(a) + 1 for a in arcs]
+        self.edges = edges
+        self.first = first
+        self.into = into
+        self.succ, self.over, self.vertex_of = _rotation(base, into, 2 * first[-1])
 
-        at: dict[int, tuple[int, int]] = {}
-        for a, toks in enumerate(arcs):
-            for i, p in enumerate(toks):
-                at[p] = (a, i)
-
-        vertex_of: dict[Dart, tuple] = {}
-        # ends first, then crossings by id: the order ComponentMap lists them in
-        rotation: dict[tuple, tuple[Dart, ...]] = {}
-        for a in range(k):
-            vertex_of[(a, 0, 0)] = ("end", a, 0)
-            vertex_of[(a, self.segs[a] - 1, 1)] = ("end", a, 1)
-            rotation[("end", a, 0)] = ((a, 0, 0),)
-            rotation[("end", a, 1)] = ((a, self.segs[a] - 1, 1),)
-        self.over: set[Dart] = set()
-        for arrow in base.arrows:
-            h, tl = base.positions[arrow.id]
-            ah, ih = at[h]
-            at_, it_ = at[tl]
-            oi, oo = (ah, ih, 1), (ah, ih + 1, 0)
-            ui, uo = (at_, it_, 1), (at_, it_ + 1, 0)
-            v = ("x", arrow.id)
-            for d in (oi, oo, ui, uo):
-                vertex_of[d] = v
-            # counterclockwise around the crossing, over strand entering first
-            rotation[v] = (oi, ui, oo, uo) if arrow.sign == 1 else (oi, uo, oo, ui)
-            self.over.update((oi, oo))
-        self.vertex_of = vertex_of
-        self.rotation = rotation
-        succ: dict[Dart, Dart] = {}
-        for ring in rotation.values():
-            for i, d in enumerate(ring):
-                succ[d] = ring[(i + 1) % len(ring)]
-        self.succ = succ
-
-    def end_is_bottom(self, a: int, side: int) -> bool:
-        if side == 0:
-            return self.signs[a] == 1
-        return self.signs[(a + 1) % self.k] == -1
-
-    def end_dart(self, a: int, side: int) -> Dart:
-        return (a, 0, 0) if side == 0 else (a, self.segs[a] - 1, 1)
+    def end_dart(self, a: int, side: int) -> int:
+        return 2 * self.first[a] if side == 0 else 2 * self.first[a + 1] - 1
 
 
-def _faces(succ: dict[Dart, Dart]) -> tuple[dict[Dart, int], int]:
-    """The face number of every dart, faces being the orbits of dart ->
-    rotation successor of its reverse, and the number of faces."""
-    face_of: dict[Dart, int] = {}
-    count = 0
-    for d0 in succ:
-        if d0 in face_of:
-            continue
-        d = d0
-        while d not in face_of:
-            face_of[d] = count
-            d = succ[_alpha(d)]
-        count += 1
-    return face_of, count
-
-
-def _columns(web: _Web) -> tuple[int, ...]:
-    """Glue the mated ends back and read the markings in the order the
-    section's dual path crosses them, or say why the glued surface is no
-    annulus with the right windings (see the module docstring)."""
-    k = web.k
-    succ = dict(web.succ)  # a loose end is its own successor until glued
-    for j in range(k):
-        before, after = web.end_dart((j - 1) % k, 1), web.end_dart(j, 0)
-        succ[before], succ[after] = after, before
-    face_of, count = _faces(succ)
-    if count != web.base.n + 2:
-        raise NotRealRealizable("the glued surface is not an annulus")
-    winding = [0] * count  # in-degree minus out-degree in the dual graph
-    leaving: dict[int, tuple[int, int]] = {}  # face -> (cut, face across it)
-    for j in range(k):
-        a, b = face_of[web.end_dart(j, 0)], face_of[web.end_dart((j - 1) % k, 1)]
+def _columns(web: _Web, face: list[int]) -> tuple[int, ...]:
+    """The markings in the order the section's dual path crosses them, or
+    why the faces wind wrongly around the annulus (see the module docstring)."""
+    n = web.base.n
+    winding = [0] * (n + 2)  # in-degree minus out-degree in the dual graph
+    leaving: dict[int, tuple[int, int]] = {}  # face -> (marking, face across it)
+    for j, e in enumerate(web.edges):
+        a, b = face[2 * e], face[2 * e + 1]
         tail, head = (b, a) if web.signs[j] == 1 else (a, b)
         winding[head] += 1
         winding[tail] -= 1
         leaving[tail] = (j, head)
-    if sorted(winding) != [-1] + [0] * web.base.n + [1]:
+    if sorted(winding) != [-1] + [0] * n + [1]:
         raise NotRealRealizable("the glued faces wind wrongly around the annulus")
     at, goal = winding.index(-1), winding.index(1)
     columns: list[int] = []
-    while at != goal and len(columns) < k:
+    while at != goal and len(columns) < web.k:
         j, at = leaving[at]
         columns.append(j)
-    if at != goal or len(set(columns)) != k:
+    if at != goal or len(set(columns)) != web.k:
         raise RuntimeError("a dual cycle off the section's path: the refinement is not minimal")
     return tuple(columns)
-
-
-def _dart_label(d: Dart) -> str:
-    return f"a{d[0]}s{d[1]}.{d[2]}"
-
-
-def _vertex_label(v: tuple) -> str:
-    return f"x{v[1]}" if v[0] == "x" else f"end{v[1]}.{v[2]}"
 
 
 @record
@@ -209,26 +200,49 @@ class ComponentMap:
 
 @record(hidden=("word",))
 class AnnularDiagram:
-    """A real diagram of the annulus: its one tangle piece plus, per boundary
-    column, the marking whose cut point sits there, and the slice word swept
-    from them once, at construction."""
+    """A real diagram of the annulus: per boundary column, the marking whose
+    cut point sits there, and the slice word swept from them once, at
+    construction.  Its one tangle piece, ``components``, is labelled on first
+    read; the refinement and the columns fix it."""
 
     refinement: TDiagram
-    components: tuple[ComponentMap, ...]
     column_markings: tuple[int, ...]
     word: SliceWord
+    _components = None  # see _stored
+
+    @property
+    def components(self) -> tuple[ComponentMap, ...]:
+        return _component_maps(self)
 
 
-def _component_map(web: _Web, columns: tuple[int, ...]) -> ComponentMap:
-    return ComponentMap(
-        arcs=tuple(range(web.k)),
-        crossings=tuple(a.id for a in web.base.arrows),
-        rotation=tuple(
-            (_vertex_label(v), tuple(_dart_label(d) for d in ring))
-            for v, ring in web.rotation.items()
+@_stored("_components")
+def _component_maps(a: AnnularDiagram) -> tuple[ComponentMap, ...]:
+    """The picture's one tangle piece, labelled from its refinement cut anew."""
+    web = _Web(a.refinement)
+    base, first, succ = web.base, web.first, web.succ
+    arc_of = [x for x in range(web.k) for _ in range(first[x], first[x + 1])]
+
+    def dart(d: int) -> str:
+        x = arc_of[d >> 1]
+        return f"a{x}s{(d >> 1) - first[x]}.{d & 1}"
+
+    # ends first, then crossings by id, each ring from the over strand entering
+    rotation = [(f"end{x}.{side}", (dart(web.end_dart(x, side)),))
+                for x in range(web.k) for side in (0, 1)]
+    for arrow in base.arrows:
+        ring = [web.into[base.positions[arrow.id][0]]]
+        for _ in range(3):
+            ring.append(succ[ring[-1]])
+        rotation.append((f"x{arrow.id}", tuple(map(dart, ring))))
+    columns = a.column_markings
+    return (
+        ComponentMap(
+            arcs=tuple(range(web.k)),
+            crossings=tuple(arrow.id for arrow in base.arrows),
+            rotation=tuple(rotation),
+            bottoms=tuple("end%d.%d" % _bottom_end(web, j) for j in columns),
+            tops=tuple("end%d.%d" % _top_end(web, j) for j in columns),
         ),
-        bottoms=tuple(_vertex_label(("end", *_bottom_end(web, j))) for j in columns),
-        tops=tuple(_vertex_label(("end", *_top_end(web, j))) for j in columns),
     )
 
 
@@ -242,19 +256,17 @@ def reconstruct(g: DecoratedGaussDiagram) -> AnnularDiagram:
 
 @_stored("_realized", (NotFull, NotRealRealizable))
 def _rebuilt(g: DecoratedGaussDiagram) -> AnnularDiagram:
-    """Cut the cheapest refinement open, decide on the glued surface alone
-    whether it draws in the annulus, read its columns off the section's dual
-    path, and sweep the picture once."""
+    """Decide on the curve's faces whether it draws in the annulus, read the
+    cheapest refinement's columns off the section's dual path, and sweep the
+    picture once."""
     if not is_full(g):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
+    face, count = _curve_faces(g)
+    if count != g.n + 2:
+        raise NotRealRealizable("the glued surface is not an annulus")
     web = _Web(minimal_refinement(g))
-    columns = _columns(web)
-    return AnnularDiagram(
-        refinement=web.t,
-        components=(_component_map(web, columns),),
-        column_markings=columns,
-        word=_sweep(web, columns),
-    )
+    columns = _columns(web, face)
+    return AnnularDiagram(refinement=web.t, column_markings=columns, word=_sweep(web, columns))
 
 
 def annular_to_json(a: AnnularDiagram) -> dict:
@@ -286,23 +298,6 @@ def annular_to_json(a: AnnularDiagram) -> dict:
 # -- drawing as a slice word --------------------------------------------------------
 
 
-class _Wire:
-    """A strand being drawn: the edge it is on, the dart at the vertex it is
-    heading for, and the knot direction (+1 along the sweep)."""
-
-    __slots__ = ("edge", "target", "direction")
-
-    def __init__(self, edge: tuple[int, int], target: Dart, direction: int):
-        self.edge = edge
-        self.target = target
-        self.direction = direction
-
-
-def _push(web: _Web, exit_dart: Dart) -> _Wire:
-    d = _alpha(exit_dart)
-    return _Wire((exit_dart[0], exit_dart[1]), d, 1 if d[2] == 1 else -1)
-
-
 def _bottom_end(web: _Web, j: int) -> tuple[int, int]:
     """The loose end that enters at the bottom of marking j's column."""
     if web.signs[j] == 1:
@@ -317,104 +312,86 @@ def _top_end(web: _Web, j: int) -> tuple[int, int]:
     return (j, 0)
 
 
-def _targets_unplaced(web: _Web, w: _Wire, placed: set) -> bool:
-    v = web.vertex_of[w.target]
-    return v[0] == "x" and v not in placed
-
-
-def _is_finished(web: _Web, w: _Wire) -> bool:
-    v = web.vertex_of[w.target]
-    return v[0] == "end" and not web.end_is_bottom(v[1], v[2])
-
-
-def _close_cup(web, wires, slices, placed) -> bool:
-    for i in range(len(wires) - 1):
-        w1, w2 = wires[i], wires[i + 1]
-        if w1.edge != w2.edge:
-            continue
-        if _targets_unplaced(web, w1, placed) or _targets_unplaced(web, w2, placed):
-            continue  # a freshly capped pair has not met anything yet
-        if _is_finished(web, w1) or _is_finished(web, w2):
-            continue  # both halves already surfaced; nothing meets
-        if w1.direction != -w2.direction:
-            raise RuntimeError("cup halves run the same way")
-        slices.append(Cup(i + 1))
-        del wires[i : i + 2]
-        return True
-    return False
-
-
-def _draw_crossing(web, wires, slices, placed) -> bool:
-    for i in range(len(wires) - 1):
-        w1, w2 = wires[i], wires[i + 1]
-        v = web.vertex_of[w1.target]
-        if v[0] != "x" or v in placed or web.vertex_of[w2.target] != v:
-            continue
-        if web.succ[w1.target] != w2.target:
-            continue
-        da, db = w1.direction, w2.direction
-        sign = da * db if w1.target in web.over else -da * db
-        if sign != web.base.arrow_map[v[1]].sign:
-            raise RuntimeError("drawn sign disagrees")
-        slices.append(RealCross(i + 1, sign))
-        exit_r = web.succ[w2.target]
-        exit_l = web.succ[exit_r]
-        nl, nr = _push(web, exit_l), _push(web, exit_r)
-        if (nl.direction, nr.direction) != (db, da):
-            raise RuntimeError("strand flow broke")
-        wires[i : i + 2] = [nl, nr]
-        placed.add(v)
-        return True
-    return False
-
-
-def _birth_cap(web, wires, slices, placed) -> bool:
-    for i, w in enumerate(wires):
-        v = web.vertex_of[w.target]
-        if v[0] != "x" or v in placed:
-            continue
-        q = web.succ[w.target]
-        if any(x.edge == (q[0], q[1]) for x in wires):
-            continue
-        rd = 1 if q[2] == 1 else -1
-        riser = _Wire((q[0], q[1]), q, rd)
-        far = _Wire((q[0], q[1]), _alpha(q), -rd)
-        slices.append(Cap(i + 2, rd))
-        wires[i + 1 : i + 1] = [riser, far]
-        return True
-    return False
-
-
 def _sweep(web: _Web, columns: tuple[int, ...]) -> SliceWord:
     """Draw the picture as stacked slices, sweeping bottom to top; the knot
-    meets the glued boundary exactly at the chosen columns."""
-    k = web.k
-    tops = [_top_end(web, m) for m in columns]
-    wires = [_push(web, web.end_dart(*_bottom_end(web, m))) for m in columns]
+    meets the glued boundary exactly at the chosen columns.  Each strand is
+    the dart it heads for (see the module docstring)."""
+    vertex_of, succ, over = web.vertex_of, web.succ, web.over
+    arrows = web.base.arrows  # by id, from 1
+    tops = [web.end_dart(*_top_end(web, j)) for j in columns]
+    surfaced = bytearray(len(succ))
+    for d in tops:
+        surfaced[d] = 1
+    wires = [web.end_dart(*_bottom_end(web, j)) ^ 1 for j in columns]
     slices: list = []
-    placed: set = set()
+    placed = bytearray(len(arrows) + 1)
+
+    def close_cup() -> bool:
+        for i in range(len(wires) - 1):
+            d, e = wires[i], wires[i + 1]
+            if d >> 1 != e >> 1:
+                continue
+            if (vertex_of[d] and not placed[vertex_of[d]]) or (vertex_of[e] and not placed[vertex_of[e]]):
+                continue  # a freshly capped pair has not met anything yet
+            if surfaced[d] or surfaced[e]:
+                continue  # both halves already surfaced; nothing meets
+            if d == e:
+                raise RuntimeError("cup halves run the same way")
+            slices.append(Cup(i + 1))
+            del wires[i : i + 2]
+            return True
+        return False
+
+    def draw_crossing() -> bool:
+        for i in range(len(wires) - 1):
+            d, e = wires[i], wires[i + 1]
+            v = vertex_of[d]
+            if not v or placed[v] or vertex_of[e] != v or succ[d] != e:
+                continue
+            da, db = (d & 1) * 2 - 1, (e & 1) * 2 - 1
+            sign = da * db if over[d] else -da * db
+            if sign != arrows[v - 1].sign:
+                raise RuntimeError("drawn sign disagrees")
+            slices.append(RealCross(i + 1, sign))
+            right = succ[e]
+            left, right = succ[right] ^ 1, right ^ 1
+            if (left ^ e) & 1 or (right ^ d) & 1:
+                raise RuntimeError("strand flow broke")
+            wires[i], wires[i + 1] = left, right
+            placed[v] = 1
+            return True
+        return False
+
+    def birth_cap() -> bool:
+        for i, d in enumerate(wires):
+            v = vertex_of[d]
+            if not v or placed[v]:
+                continue
+            q = succ[d]
+            if q in wires or q ^ 1 in wires:
+                continue
+            slices.append(Cap(i + 2, (q & 1) * 2 - 1))
+            wires[i + 1 : i + 1] = [q, q ^ 1]
+            return True
+        return False
+
     # no rule births a crossing-free arc: one with both ends on top needs a
     # -1 marking right before a +1 on one edge, and a refinement built from
     # counts puts one sign on each edge
-    for _ in range(4 * (sum(web.segs) + k) + 8):
-        if not (
-            _close_cup(web, wires, slices, placed)
-            or _draw_crossing(web, wires, slices, placed)
-            or _birth_cap(web, wires, slices, placed)
-        ):
+    for _ in range(4 * (len(succ) // 2 + web.k) + 8):
+        if not (close_cup() or draw_crossing() or birth_cap()):
             break
     else:
         raise RuntimeError("the sweep did not settle")
-    if len(placed) != web.base.n:
+    if placed.count(1) != len(arrows):
         raise RuntimeError("the sweep missed crossings")
-    if len(wires) != k:
+    if len(wires) != web.k:
         raise RuntimeError("the sweep left stray strands")
-    bottom = tuple(web.signs[m] for m in columns)
-    for c, w in enumerate(wires):
-        v = web.vertex_of[w.target]
-        if v[0] != "end" or (v[1], v[2]) != tops[c]:
+    bottom = tuple(web.signs[j] for j in columns)
+    for d, top, direction in zip(wires, tops, bottom):
+        if d != top:
             raise RuntimeError("strands surfaced out of order")
-        if w.direction != bottom[c]:
+        if (d & 1) * 2 - 1 != direction:
             raise RuntimeError("a strand crossed the boundary backwards")
     return SliceWord(bottom, tuple(slices))
 
@@ -448,17 +425,18 @@ def whitney_index(g: DecoratedGaussDiagram) -> int:
 # -- moving the section -------------------------------------------------------------
 
 
-def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram):
-    """Where the drawn knot pierces each horizontal line, keyed by
-    (line, column): the edge, the rank along that edge in knot order, and
-    the strand direction.  Edges are those of ``drawn``, the diagram read
+def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram, offset: list[int]):
+    """Where the drawn knot pierces each horizontal line: at gap
+    ``offset[line] + column``, right of the passage, the edge, the rank along
+    that edge in knot order, and the strand direction; None at gaps with no
+    passage to their left.  Edges are those of ``drawn``, the diagram read
     off the same walk."""
     m = 2 * len(reading.arrows)
     trail = reading.trail
     # from the first crossing on, the passages before it close the last edge
     first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
-    table: dict[tuple[int, int], tuple[int, int, int]] = {}
-    counter: dict[int, int] = {}
+    table: list = [None] * offset[-1]
+    counter = [0] * max(m, 1)
     seen = 0
     for ev in trail[first:] + trail[:first]:
         if ev[0] == "cross":
@@ -466,16 +444,15 @@ def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram):
             continue
         _, l, c, d = ev
         e = (seen - 1 - drawn._rotation) % m if m else 0
-        r = counter.get(e, 0)
-        counter[e] = r + 1
-        table[(l, c)] = (e, r, d)
+        table[offset[l] + c] = (e, counter[e], d)
+        counter[e] += 1
     return table
 
 
-def _classes(items, links) -> dict:
-    """Union-find: the class representative of every item once the linked
-    pairs are joined."""
-    parent = {x: x for x in items}
+def _region_classes(word: SliceWord, levels, offset: list[int]) -> list[int]:
+    """The class of every gap, gap j of line l being ``offset[l] + j``; a
+    class is one connected piece of the cut-open annulus minus the knot."""
+    parent = list(range(offset[-1]))
 
     def find(x):
         while parent[x] != x:
@@ -483,41 +460,30 @@ def _classes(items, links) -> dict:
             x = parent[x]
         return x
 
-    for a, b in links:
+    def join(a, b):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return {x: find(x) for x in parent}
 
-
-def _region_classes(word: SliceWord, levels) -> dict[tuple[int, int], tuple[int, int]]:
-    """Classes of the gaps (line, gap index) between strands; a class is one
-    connected piece of the cut-open annulus minus the knot."""
-    lc = max(len(word.slices), 1)
-
-    def links():
-        for i, s in enumerate(word.slices):
-            below = len(levels[i])
-            up = (i + 1) % lc
-            p = s.position
-            if isinstance(s, (RealCross, VirtualCross)):
-                for j in range(below + 1):
-                    if j != p:  # the crossing pinches the gap between its strands
-                        yield (i, j), (up, j)
-            elif isinstance(s, Cap):
-                for j in range(below + 1):
-                    yield (i, j), (up, j if j < p else j + 2)
-                yield (i, p - 1), (up, p + 1)  # around the new tip; gap p is fresh
-            else:
-                for j in range(below + 1):
-                    if j < p:
-                        yield (i, j), (up, j)
-                    elif j >= p + 1:
-                        yield (i, j), (up, j - 2)
-                    # the gap between the dying strands stops here
-
-    gaps = [(l, j) for l in range(lc) for j in range(len(levels[l]) + 1)]
-    return _classes(gaps, links())
+    lines = len(offset) - 1
+    for i, s in enumerate(word.slices):
+        below = len(levels[i])
+        lo, up = offset[i], offset[(i + 1) % lines]
+        p = s.position
+        if isinstance(s, Cap):
+            for j in range(below + 1):
+                join(lo + j, up + (j if j < p else j + 2))
+            join(lo + p - 1, up + p + 1)  # around the new tip; gap p is fresh
+        elif isinstance(s, Cup):
+            for j in range(p):
+                join(lo + j, up + j)
+            for j in range(p + 1, below + 1):  # the gap between the dying strands stops
+                join(lo + j, up + j - 2)
+        else:
+            for j in range(below + 1):
+                if j != p:  # the crossing pinches the gap between its strands
+                    join(lo + j, up + j)
+    return [find(x) for x in range(len(parent))]
 
 
 def find_section(word: SliceWord, t: TDiagram):
@@ -538,19 +504,23 @@ def find_section(word: SliceWord, t: TDiagram):
         raise InvalidDiagram("the markings refine a different diagram")
 
     levels = reading.levels
-    table = _passage_table(reading, drawn.base)
-    region = _region_classes(word, levels)
-    adj: dict[tuple[int, int], list] = {}
-    for (l, c), (e, r, d) in sorted(table.items()):
-        left, right = region[(l, c - 1)], region[(l, c)]
+    lines = max(len(word.slices), 1)
+    offset = list(accumulate((len(levels[l]) + 1 for l in range(lines)), initial=0))
+    table = _passage_table(reading, drawn.base, offset)
+    region = _region_classes(word, levels, offset)
+    # moves out of each region in passage order: (region across, (edge, rank, sign))
+    adj: dict[int, list] = {}
+    for gap, rec in enumerate(table):
+        if rec is None:
+            continue
+        left, right = region[gap - 1], region[gap]
         if left == right:
             continue  # crossing it would revisit the region
-        adj.setdefault(left, []).append(((l, c, 0), right, (e, r, d)))
-        adj.setdefault(right, []).append(((l, c, 1), left, (e, r, -d)))
-    for moves in adj.values():
-        moves.sort()
-    start = region[(0, 0)]
-    goal = region[(0, len(levels[0]))]
+        e, r, d = rec
+        adj.setdefault(left, []).append((right, rec))
+        adj.setdefault(right, []).append((left, (e, r, -d)))
+    start = region[0]
+    goal = region[len(levels[0])]
     if start == goal:
         raise RuntimeError("a full knot must separate the boundaries")
 
@@ -582,7 +552,7 @@ def find_section(word: SliceWord, t: TDiagram):
     dist = {goal: 0}  # crossings to the goal, ignoring simplicity and t
     queue = [goal]
     for at in queue:
-        for _, to, _ in adj.get(at, ()):
+        for to, _ in adj.get(at, ()):
             if to not in dist:
                 dist[to] = dist[at] + 1
                 queue.append(to)
@@ -591,7 +561,7 @@ def find_section(word: SliceWord, t: TDiagram):
         if hit is not None:
             kept, seq = hit
             marks = tuple(
-                tuple(t.markings[e][i] for i in kept.get(e, []))
+                tuple(t.markings[e][i] for i in kept[e]) if e in kept else ()
                 for e in range(t.base.edge_count)
             )
             return TDiagram(t.base, marks), tuple(seq)
@@ -600,7 +570,7 @@ def find_section(word: SliceWord, t: TDiagram):
 
 def _bounded_search(adj, start, goal, depth, match, dist):
     """First feasible simple path with exactly ``depth`` crossings, trying
-    moves in a fixed lexicographic order; IDA* (Korf 1985) skips a move whose
+    moves in passage order; IDA* (Korf 1985) skips a move whose
     ``dist`` to the goal exceeds the crossings left, which cuts no hit."""
 
     path: list = []
@@ -613,7 +583,7 @@ def _bounded_search(adj, start, goal, depth, match, dist):
                 if kept is not None:
                     return kept, seq
             return None
-        for _, to, rec in adj.get(at, ()):
+        for to, rec in adj.get(at, ()):
             if to in visited or dist.get(to, depth) > left - 1:
                 continue
             visited.add(to)
@@ -631,10 +601,6 @@ def _bounded_search(adj, start, goal, depth, match, dist):
 # -- SVG ----------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.1f}"
-
-
 def render_svg(a: AnnularDiagram) -> str:
     """A fixed-layout picture of the rebuilt diagram: levels run left to
     right, the section is the dashed vertical line on either side, under
@@ -647,78 +613,63 @@ def render_svg(a: AnnularDiagram) -> str:
     cols = max(len(lv) for lv in levels)
     width = margin * 2 + lcount * unit
     height = margin * 2 + (cols + 1) * unit
+    # level l at x[l], column c at y[c], and their text
+    x = [margin + l * unit for l in range(lcount + 1)]
+    y = [margin + (cols + 1 - c) * unit for c in range(cols + 2)]
+    xt = [f"{v:.1f}" for v in x]
+    yt = [f"{v:.1f}" for v in y]
 
-    def x(l: float) -> float:
-        return margin + l * unit
-
-    def y(c: float) -> float:
-        return margin + (cols + 1 - c) * unit
+    def seg(l: int, c1: int, c2: int, broken: bool = False) -> str:
+        """Level l's strand from column c1 to column c2 at level l + 1."""
+        if not broken:
+            return f'<path d="M {xt[l]} {yt[c1]} L {xt[l + 1]} {yt[c2]}"/>'
+        dx, dy = x[l + 1] - x[l], y[c2] - y[c1]
+        return (
+            f'<path d="M {xt[l]} {yt[c1]} L {x[l] + 0.38 * dx:.1f} {y[c1] + 0.38 * dy:.1f}"/>\n'
+            f'<path d="M {x[l] + 0.62 * dx:.1f} {y[c1] + 0.62 * dy:.1f} L {xt[l + 1]} {yt[c2]}"/>'
+        )
 
     body: list[str] = []
-
-    def seg(x1, y1, x2, y2, broken=False):
-        if not broken:
-            return [
-                f'<path d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"/>'
-            ]
-        ax, ay = x1 + 0.38 * (x2 - x1), y1 + 0.38 * (y2 - y1)
-        bx, by = x1 + 0.62 * (x2 - x1), y1 + 0.62 * (y2 - y1)
-        return [
-            f'<path d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(ax)} {_fmt(ay)}"/>',
-            f'<path d="M {_fmt(bx)} {_fmt(by)} L {_fmt(x2)} {_fmt(y2)}"/>',
-        ]
-
     if not word.slices:
-        for c in range(1, len(word.bottom) + 1):
-            body += seg(x(0), y(c), x(1), y(c))
+        body += [seg(0, c, c) for c in range(1, len(word.bottom) + 1)]
     for i, s in enumerate(word.slices):
         below = len(levels[i])
-        x1, x2 = x(i), x(i + 1)
         p = s.position
         if isinstance(s, RealCross):
-            for c in range(1, below + 1):
-                if c not in (p, p + 1):
-                    body += seg(x1, y(c), x2, y(c))
-            da, db = levels[i][p - 1], levels[i][p]
-            rising_over = s.sign == da * db
-            glyph = ['<g class="crossing">']
-            glyph += seg(x1, y(p), x2, y(p + 1), broken=not rising_over)
-            glyph += seg(x1, y(p + 1), x2, y(p), broken=rising_over)
-            glyph.append("</g>")
-            body += glyph
+            body += [seg(i, c, c) for c in range(1, below + 1) if c not in (p, p + 1)]
+            rising_over = s.sign == levels[i][p - 1] * levels[i][p]
+            body += [
+                '<g class="crossing">',
+                seg(i, p, p + 1, broken=not rising_over),
+                seg(i, p + 1, p, broken=rising_over),
+                "</g>",
+            ]
         elif isinstance(s, Cap):
-            for c in range(1, below + 1):
-                body += seg(x1, y(c), x2, y(c if c < p else c + 2))
-            bend = x1 + 0.1 * unit
+            body += [seg(i, c, c if c < p else c + 2) for c in range(1, below + 1)]
+            bend = f"{x[i] + 0.1 * unit:.1f}"
             body.append(
-                f'<path d="M {_fmt(x2)} {_fmt(y(p))} C {_fmt(bend)} {_fmt(y(p))} '
-                f'{_fmt(bend)} {_fmt(y(p + 1))} {_fmt(x2)} {_fmt(y(p + 1))}"/>'
+                f'<path d="M {xt[i + 1]} {yt[p]} C {bend} {yt[p]} '
+                f'{bend} {yt[p + 1]} {xt[i + 1]} {yt[p + 1]}"/>'
             )
         else:
-            for c in range(1, below + 1):
-                if c < p:
-                    body += seg(x1, y(c), x2, y(c))
-                elif c > p + 1:
-                    body += seg(x1, y(c), x2, y(c - 2))
-            bend = x2 - 0.1 * unit
+            body += [seg(i, c, c) for c in range(1, p)]
+            body += [seg(i, c, c - 2) for c in range(p + 2, below + 1)]
+            bend = f"{x[i + 1] - 0.1 * unit:.1f}"
             body.append(
-                f'<path d="M {_fmt(x1)} {_fmt(y(p))} C {_fmt(bend)} {_fmt(y(p))} '
-                f'{_fmt(bend)} {_fmt(y(p + 1))} {_fmt(x1)} {_fmt(y(p + 1))}"/>'
+                f'<path d="M {xt[i]} {yt[p]} C {bend} {yt[p]} '
+                f'{bend} {yt[p + 1]} {xt[i]} {yt[p + 1]}"/>'
             )
-    top = margin * 0.5
-    bot = height - margin * 0.5
-    lines = [
-        f'<line x1="{_fmt(x(0))}" y1="{_fmt(top)}" x2="{_fmt(x(0))}" '
-        f'y2="{_fmt(bot)}" stroke-dasharray="6 4" class="section"/>',
-        f'<line x1="{_fmt(x(lcount))}" y1="{_fmt(top)}" x2="{_fmt(x(lcount))}" '
-        f'y2="{_fmt(bot)}" stroke-dasharray="6 4" class="section"/>',
-    ]
+    top = f"{margin * 0.5:.1f}"
+    bot = f"{height - margin * 0.5:.1f}"
     return "\n".join(
         [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+            f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
             '<g fill="none" stroke="black" stroke-width="2">',
-            *lines,
+            f'<line x1="{xt[0]}" y1="{top}" x2="{xt[0]}" '
+            f'y2="{bot}" stroke-dasharray="6 4" class="section"/>',
+            f'<line x1="{xt[lcount]}" y1="{top}" x2="{xt[lcount]}" '
+            f'y2="{bot}" stroke-dasharray="6 4" class="section"/>',
             *body,
             "</g>",
             "</svg>",

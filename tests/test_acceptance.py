@@ -30,7 +30,7 @@ from torogram.braid import (
     synthesize_braid,
 )
 from torogram.diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_tdiagram
-from torogram.errors import NoLevels, NotWeaklyAdmissible
+from torogram.errors import NoLevels, NotRealRealizable, NotWeaklyAdmissible
 from torogram.rebuild import (
     annular_to_json,
     find_section,
@@ -411,6 +411,15 @@ def test_an_800_crossing_closure_refines_minimally_and_rebuilds_fast():
     drawn = reconstruct(g)
     assert time.perf_counter() - t0 < 0.25
     assert drawn.refinement == t
+
+
+def test_a_curve_off_the_annulus_is_refused_before_any_refinement():
+    # the face count was read after minimal_refinement: 1.7-2.7 s here
+    g = random_dgd(random.Random(400), 400, val_range=3)
+    t0 = time.perf_counter()
+    with pytest.raises(NotRealRealizable, match="^the glued surface is not an annulus$"):
+        reconstruct(g)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_a_word_of_many_curves_validates_in_bounded_memory():

@@ -436,7 +436,7 @@ def test_value_records_keep_dataclass_semantics():
     assert (g._rotation, twin._rotation) == (1, 0) and g == twin and hash(g) == hash(twin)
     a = reconstruct(DecoratedGaussDiagram((), (), 1))
     assert "word" not in repr(a) and "_rotation" not in repr(g)
-    assert a == type(a)(a.refinement, a.components, a.column_markings, word=None)
+    assert a == type(a)(a.refinement, a.column_markings, word=None)
     # repr text as the dataclasses printed it
     assert repr(g) == (
         "DecoratedGaussDiagram(tokens=(Token(kind='H', arrow=1), Token(kind='T', arrow=1)), "
@@ -455,9 +455,7 @@ def test_value_records_keep_dataclass_semantics():
     )
     assert repr(a) == (
         "AnnularDiagram(refinement=TDiagram(base=DecoratedGaussDiagram(tokens=(), arrows=(), "
-        "circle_valuation=1), markings=((1,),)), components=(ComponentMap(arcs=(0,), "
-        "crossings=(), rotation=(('end0.0', ('a0s0.0',)), ('end0.1', ('a0s0.1',))), "
-        "bottoms=('end0.0',), tops=('end0.1',)),), column_markings=(0,))"
+        "circle_valuation=1), markings=((1,),)), column_markings=(0,))"
     )
 
 

@@ -65,6 +65,19 @@ def test_three_twists_rebuild_as_one_piece():
     assert piece.tops == ("end0.1", "end1.1")
 
 
+def test_component_maps_are_built_only_when_read():
+    rng = random.Random(101)
+    for _ in range(20):
+        g = extract_tdiagram(random_real_sliceword(rng)).base
+        a = reconstruct(g)
+        to_sliceword(a)
+        render_svg(a)
+        whitney_index(g)
+        assert a._components is None
+        assert annular_to_json(a)["components"][0]["crossings"] == [x.id for x in g.arrows]
+        assert a._components is a.components
+
+
 def test_three_twists_redraw_to_the_twist_word():
     a = reconstruct(THREE_TWISTS)
     word = to_sliceword(a)
