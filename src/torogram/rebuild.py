@@ -40,10 +40,10 @@ Darts are ints, two per edge, and the other half of dart d is d ^ 1.  On the
 curve, edge e carries dart 2e, leaving token e, and dart 2e + 1, entering
 token e + 1.  Cut open, arc a runs from marking a to marking a + 1 through
 segments ``first[a]`` to ``first[a + 1] - 1``; segment s carries dart 2s at
-its start and 2s + 1 at its end in knot order, so a loose end is the one
-dart of its segment that meets no crossing.  A strand being drawn is the
-dart it heads for: it lies on segment d >> 1 and runs with the sweep exactly
-when d is odd.  Component maps label crossings ``x<id>``, loose ends
+its start and 2s + 1 at its end in knot order; a dart at no crossing is a
+loose end.  A strand being drawn is the dart it heads for: it lies on
+segment d >> 1 and points up the sweep (direction +1) exactly when d is
+odd.  Component maps label crossings ``x<id>``, loose ends
 ``end<arc>.<side>`` and darts ``a<arc>s<segment in arc>.<side>``.
 """
 from __future__ import annotations
@@ -88,10 +88,9 @@ def _rotation(base: DecoratedGaussDiagram, into: list[int], size: int):
         oi, ui = into[h], into[tl]
         oo, uo = (oi + 1) % size, (ui + 1) % size
         # counterclockwise around the crossing, over strand entering first
-        ring = (oi, ui, oo, uo) if arrow.sign == 1 else (oi, uo, oo, ui)
-        for i in range(4):
-            succ[ring[i - 1]] = ring[i]
-            vertex_of[ring[i]] = arrow.id
+        a, b, c, d = (oi, ui, oo, uo) if arrow.sign == 1 else (oi, uo, oo, ui)
+        succ[a], succ[b], succ[c], succ[d] = b, c, d, a
+        vertex_of[a] = vertex_of[b] = vertex_of[c] = vertex_of[d] = arrow.id
         over[oi] = over[oo] = 1
     return succ, over, vertex_of
 
