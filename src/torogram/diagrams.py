@@ -355,14 +355,6 @@ class TDiagram:
     def net_counts(self) -> tuple[int, ...]:
         return tuple(sum(edge) for edge in self.markings)
 
-    def markings_in_order(self) -> list[tuple[int, int, int]]:
-        """All markings as (edge, index within edge, sign), edge-major order."""
-        out = []
-        for e, edge in enumerate(self.markings):
-            for i, s in enumerate(edge):
-                out.append((e, i, s))
-        return out
-
     def __str__(self) -> str:
         return canonical_serialize(self)
 

@@ -426,25 +426,19 @@ def whitney_index(g: DecoratedGaussDiagram) -> int:
 
 def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram, offset: list[int]):
     """Where the drawn knot pierces each horizontal line: at gap
-    ``offset[line] + column``, right of the passage, the edge, the rank along
-    that edge in knot order, and the strand direction; None at gaps with no
-    passage to their left.  Edges are those of ``drawn``, the diagram read
-    off the same walk."""
+    ``offset[line] + column``, right of the passage, the edge and the strand
+    direction; None at gaps with no passage to their left.  Edges are those
+    of ``drawn``, the diagram read off the same walk; the passages before the
+    first crossing close the last edge."""
     m = 2 * len(reading.arrows)
-    trail = reading.trail
-    # from the first crossing on, the passages before it close the last edge
-    first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
     table: list = [None] * offset[-1]
-    counter = [0] * max(m, 1)
     seen = 0
-    for ev in trail[first:] + trail[:first]:
+    for ev in reading.trail:
         if ev[0] == "cross":
             seen += 1
             continue
         _, l, c, d = ev
-        e = (seen - 1 - drawn._rotation) % m if m else 0
-        table[offset[l] + c] = (e, counter[e], d)
-        counter[e] += 1
+        table[offset[l] + c] = ((seen - 1 - drawn._rotation) % m if m else 0, d)
     return table
 
 
@@ -496,9 +490,10 @@ def find_section(word: SliceWord, t: TDiagram):
     drawn = _extraction(word)
     if not is_full(drawn.base):
         raise NotFull("the drawn knot has zero decorations; no section separates it")
-    require_valid(t)
-    # the word's own extraction needs no check; a t built elsewhere is
-    # compared by canonical text
+    # the word's own extraction is valid by construction; any other t is
+    # checked, and compared by canonical text unless it shares that base
+    if t is not drawn:
+        require_valid(t)
     if t.base is not drawn.base and canonical_serialize(t.base) != canonical_serialize(drawn.base):
         raise InvalidDiagram("the markings refine a different diagram")
 
@@ -507,7 +502,12 @@ def find_section(word: SliceWord, t: TDiagram):
     offset = list(accumulate((len(levels[l]) + 1 for l in range(lines)), initial=0))
     table = _passage_table(reading, drawn.base, offset)
     region = _region_classes(word, levels, offset)
-    # moves out of each region in passage order: (region across, (edge, rank, sign))
+    signs = [set(edge) for edge in t.markings]
+    # An edge runs between two crossings, so every passage of it joins the
+    # same two regions with the same sign each way, and a simple path
+    # crosses it at most once: a move is paid for by any marking of its
+    # sign.  Moves out of each region that t pays for, in passage order:
+    # (region across, edge, sign).
     adj: dict[int, list] = {}
     for gap, rec in enumerate(table):
         if rec is None:
@@ -515,86 +515,38 @@ def find_section(word: SliceWord, t: TDiagram):
         left, right = region[gap - 1], region[gap]
         if left == right:
             continue  # crossing it would revisit the region
-        e, r, d = rec
-        adj.setdefault(left, []).append((right, rec))
-        adj.setdefault(right, []).append((left, (e, r, -d)))
+        e, d = rec
+        if d in signs[e]:
+            adj.setdefault(left, []).append((right, e, d))
+        if -d in signs[e]:
+            adj.setdefault(right, []).append((left, e, -d))
     start = region[0]
     goal = region[len(levels[0])]
     if start == goal:
         raise RuntimeError("a full knot must separate the boundaries")
 
-    def match(path):
-        """Embed the path's crossings into t's markings, per edge, in knot
-        order; None when some edge cannot absorb them."""
-        by_edge: dict[int, list[tuple[int, int, int]]] = {}
-        for idx, (e, r, s) in enumerate(path):
-            by_edge.setdefault(e, []).append((r, s, idx))
-        out = [None] * len(path)
-        kept: dict[int, list[int]] = {}
-        for e, runs in by_edge.items():
-            runs.sort()
-            marks = t.markings[e]
-            slot = 0
-            sel = []
-            for _, s, _ in runs:
-                while slot < len(marks) and marks[slot] != s:
-                    slot += 1
-                if slot == len(marks):
-                    return None, None
-                sel.append(slot)
-                slot += 1
-            kept[e] = sel
-            for j, (_, s, idx) in enumerate(runs):
-                out[idx] = (e, j, s)
-        return kept, out
-
-    dist = {goal: 0}  # crossings to the goal, ignoring simplicity and t
-    queue = [goal]
+    # breadth-first, keeping the first way into each region: the path to
+    # the goal is the first in passage order among the fewest crossings
+    came: dict = {start: None}
+    queue = [start]
     for at in queue:
-        for to, _ in adj.get(at, ()):
-            if to not in dist:
-                dist[to] = dist[at] + 1
+        for to, e, s in adj.get(at, ()):
+            if to not in came:
+                came[to] = (at, e, s)
                 queue.append(to)
-    for depth in range(dist.get(start, len(dist)), len(dist)):
-        hit = _bounded_search(adj, start, goal, depth, match, dist)
-        if hit is not None:
-            kept, seq = hit
-            marks = tuple(
-                tuple(t.markings[e][i] for i in kept[e]) if e in kept else ()
-                for e in range(t.base.edge_count)
-            )
-            return TDiagram(t.base, marks), tuple(seq)
-    raise RuntimeError("no transverse path found; the drawing should admit one")
-
-
-def _bounded_search(adj, start, goal, depth, match, dist):
-    """First feasible simple path with exactly ``depth`` crossings, trying
-    moves in passage order; IDA* (Korf 1985) skips a move whose
-    ``dist`` to the goal exceeds the crossings left, which cuts no hit."""
-
-    path: list = []
-    visited = {start}
-
-    def go(at, left):
-        if at == goal:
-            if left == 0:
-                kept, seq = match(path)
-                if kept is not None:
-                    return kept, seq
-            return None
-        for to, rec in adj.get(at, ()):
-            if to in visited or dist.get(to, depth) > left - 1:
-                continue
-            visited.add(to)
-            path.append(rec)
-            found = go(to, left - 1)
-            if found is not None:
-                return found
-            path.pop()
-            visited.discard(to)
-        return None
-
-    return go(start, depth)
+        if goal in came:
+            break
+    else:
+        raise RuntimeError("no transverse path found; the drawing should admit one")
+    seq = []
+    at = goal
+    while came[at] is not None:
+        at, e, s = came[at]
+        seq.append((e, 0, s))
+    seq.reverse()
+    kept = {e: (s,) for e, _, s in seq}
+    marks = tuple(kept.get(e, ()) for e in range(t.base.edge_count))
+    return TDiagram(t.base, marks), tuple(seq)
 
 
 # -- SVG ----------------------------------------------------------------------------

@@ -146,6 +146,23 @@ def scrambled_tdiagram(t: TDiagram, rng: random.Random) -> TDiagram:
     return assemble_tdiagram(tokens, arrows, g.circle_valuation, markings)
 
 
+def refinement_like(t: TDiagram, rng: random.Random) -> TDiagram:
+    """Another refinement of ``t``'s diagram: counts moved by random kernel
+    vectors, then cancelling marking pairs slipped into random edges."""
+    from torogram.refine import kernel_basis
+
+    counts = list(t.net_counts())
+    for vector in kernel_basis(t.base):
+        c = rng.choice((-1, 0, 0, 1))
+        counts = [x + c * v for x, v in zip(counts, vector)]
+    marks = [[1] * c if c >= 0 else [-1] * -c for c in counts]
+    for _ in range(rng.randint(0, 3)):
+        edge = marks[rng.randrange(len(marks))]
+        at, s = rng.randint(0, len(edge)), rng.choice((1, -1))
+        edge[at:at] = [s, -s]
+    return TDiagram(t.base, tuple(tuple(edge) for edge in marks))
+
+
 @st.composite
 def dgd_diagrams(draw, max_arrows: int = 5, val_range: int = 3) -> DecoratedGaussDiagram:
     n = draw(st.integers(0, max_arrows))

@@ -574,7 +574,7 @@ def _region_classes(word, levels) -> dict:
 def brute_section(word, t):
     """``rebuild.find_section`` by plain iterative deepening: every depth from
     1, every simple region path in move order, no distance bound.  Exponential
-    in the number of strands; the reference for the pruned search."""
+    in the number of strands; the reference for the breadth-first search."""
     from torogram.diagrams import TDiagram
     from torogram.slices import _read, _tdiagram
 

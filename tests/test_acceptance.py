@@ -59,7 +59,13 @@ from torogram.slices import (
     validate_sliceword,
 )
 
-from gen import random_braid_word, random_dgd, random_real_sliceword, random_tdiagram
+from gen import (
+    random_braid_word,
+    random_dgd,
+    random_real_sliceword,
+    random_tdiagram,
+    refinement_like,
+)
 from oracles import (
     brute_admissibility_verdict,
     integer_kernel_oracle,
@@ -361,6 +367,18 @@ def test_section_of_a_ten_strand_closure_is_found_fast():
     assert time.perf_counter() - t0 < 1.0
     assert canonical_serialize(kept) == canonical_serialize(t)
     assert len(crossings) == t.marking_count == 10
+
+
+def test_section_under_two_signed_markings_is_found_fast():
+    # a search that embedded whole region paths into the markings took
+    # 2.6-3.3 s here, and more than 8 s at several nearby seeds
+    rng = random.Random(8)
+    word = braid_to_sliceword(_knotted_braid(rng, 8, 53))
+    marks = refinement_like(extract_tdiagram(word), rng)
+    t0 = time.perf_counter()
+    kept, seq = find_section(word, marks)
+    assert time.perf_counter() - t0 < 0.1
+    assert seq == ((78, 0, 1), (51, 0, 1), (98, 0, 1), (35, 0, 1), (62, 0, 1), (25, 0, 1), (6, 0, 1), (15, 0, 1))
 
 
 def test_braid_closures_read_in_linear_time():

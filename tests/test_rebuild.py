@@ -16,13 +16,14 @@ from torogram.rebuild import (
     to_sliceword,
     whitney_index,
 )
-from torogram.refine import kernel_basis
 from torogram.slices import (
     Cap,
     Cup,
     RealCross,
     SliceWord,
     VirtualCross,
+    _read,
+    _tdiagram,
     extract_tdiagram,
     represent_dgd,
     serialize_sliceword,
@@ -32,10 +33,17 @@ from gen import (
     random_braid_word,
     random_dgd,
     random_real_sliceword,
+    refinement_like,
     scrambled_copy,
     scrambled_tdiagram,
 )
-from oracles import brute_section, glued_surface_faces, turning_number
+from oracles import (
+    _passage_table,
+    _region_classes,
+    brute_section,
+    glued_surface_faces,
+    turning_number,
+)
 
 THREE_TWISTS = parse_diagram(
     "circle 2\n"
@@ -355,19 +363,29 @@ def test_section_is_idempotent_on_random_words():
         assert len(seq) <= t.marking_count
 
 
-def _refinement_like(t: TDiagram, rng: random.Random) -> TDiagram:
-    """Another refinement of ``t``'s diagram: counts moved by random kernel
-    vectors, then cancelling marking pairs slipped into random edges."""
-    counts = list(t.net_counts())
-    for vector in kernel_basis(t.base):
-        c = rng.choice((-1, 0, 0, 1))
-        counts = [x + c * v for x, v in zip(counts, vector)]
-    marks = [[1] * c if c >= 0 else [-1] * -c for c in counts]
-    for _ in range(rng.randint(0, 3)):
-        edge = marks[rng.randrange(len(marks))]
-        at, s = rng.randint(0, len(edge)), rng.choice((1, -1))
-        edge[at:at] = [s, -s]
-    return TDiagram(t.base, tuple(tuple(edge) for edge in marks))
+def test_every_passage_of_an_edge_joins_the_same_two_regions():
+    # find_section rests on this: a move is paid for by any marking of its
+    # sign, and a simple region path crosses each edge at most once
+    rng = random.Random(67)
+    words = [random_real_sliceword(rng, max_crossings=12) for _ in range(60)]
+    while len(words) < 90:  # rebuilt braid closures, up to five strands
+        g = extract_tdiagram(
+            braid_to_sliceword(random_braid_word(rng, max_strands=5, max_real=14, max_virtual=0))
+        ).base
+        words.append(to_sliceword(reconstruct(g)))
+    repeated = 0
+    for word in words:
+        reading = _read(word)
+        region = _region_classes(word, reading.levels)
+        moves: dict[int, set] = {}
+        passages: dict[int, int] = {}
+        for (l, c), (e, _, d) in _passage_table(reading, _tdiagram(word, reading).base).items():
+            left, right = region[(l, c - 1)], region[(l, c)]
+            moves.setdefault(e, set()).add(min((left, right, d), (right, left, -d)))
+            passages[e] = passages.get(e, 0) + 1
+        assert all(len(one) == 1 for one in moves.values()), serialize_sliceword(word)
+        repeated += sum(count > 1 for count in passages.values())
+    assert repeated > 100  # many edges pass several lines
 
 
 def test_section_matches_the_plain_iterative_deepening():
@@ -380,7 +398,7 @@ def test_section_matches_the_plain_iterative_deepening():
         words.append(to_sliceword(reconstruct(g)))
     for word in words:
         t = extract_tdiagram(word)
-        for marks in (t, _refinement_like(t, rng), _refinement_like(t, rng)):
+        for marks in (t, refinement_like(t, rng), refinement_like(t, rng)):
             kept, seq = find_section(word, marks)
             want_kept, want_seq = brute_section(word, marks)
             assert kept == want_kept
