@@ -32,6 +32,10 @@ Why this is sound:
 5. An arc splitting the cut-open tangle would lie inside one face the path
    visits once; it would bound a knot-free disc, so a picture is always one
    piece.
+6. A real drawing lies on the same sphere, so its knot cuts the annulus
+   into these faces, that of dart 2e + 1 left of an upward passage of edge
+   e; :func:`find_section` searches their dual graph from the class -1 face
+   to the class +1 face of the drawing's own boundary markings.
 
 Either failed condition raises :class:`NotRealRealizable` with its reason;
 both can be re-checked from the face map alone.
@@ -47,8 +51,6 @@ odd.  Component maps label crossings ``x<id>``, loose ends
 ``end<arc>.<side>`` and darts ``a<arc>s<segment in arc>.<side>``.
 """
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .diagrams import (
     DecoratedGaussDiagram,
@@ -69,7 +71,6 @@ from .slices import (
     VirtualCross,
     _extraction,
     _read,
-    _Reading,
     direction_levels,
 )
 
@@ -160,17 +161,26 @@ class _Web:
         return 2 * self.first[a] if side == 0 else 2 * self.first[a + 1] - 1
 
 
+def _winding(face: list[int], count: int, markings) -> list[int]:
+    """Every face's class under the markings: the in-degree minus the
+    out-degree of their dual edges (see the module docstring)."""
+    winding = [0] * count
+    for e, row in enumerate(markings):
+        for s in row:
+            winding[face[2 * e]] += s
+            winding[face[2 * e + 1]] -= s
+    return winding
+
+
 def _columns(web: _Web, face: list[int]) -> tuple[int, ...]:
     """The markings in the order the section's dual path crosses them, or
     why the faces wind wrongly around the annulus (see the module docstring)."""
     n = web.base.n
-    winding = [0] * (n + 2)  # in-degree minus out-degree in the dual graph
+    winding = _winding(face, n + 2, web.t.markings)
     leaving: dict[int, tuple[int, int]] = {}  # face -> (marking, face across it)
     for j, e in enumerate(web.edges):
         a, b = face[2 * e], face[2 * e + 1]
         tail, head = (b, a) if web.signs[j] == 1 else (a, b)
-        winding[head] += 1
-        winding[tail] -= 1
         leaving[tail] = (j, head)
     if sorted(winding) != [-1] + [0] * n + [1]:
         raise NotRealRealizable("the glued faces wind wrongly around the annulus")
@@ -424,61 +434,6 @@ def whitney_index(g: DecoratedGaussDiagram) -> int:
 # -- moving the section -------------------------------------------------------------
 
 
-def _passage_table(reading: _Reading, drawn: DecoratedGaussDiagram, offset: list[int]):
-    """Where the drawn knot pierces each horizontal line: at gap
-    ``offset[line] + column``, right of the passage, the edge and the strand
-    direction; None at gaps with no passage to their left.  Edges are those
-    of ``drawn``, the diagram read off the same walk; the passages before the
-    first crossing close the last edge."""
-    m = 2 * len(reading.arrows)
-    table: list = [None] * offset[-1]
-    seen = 0
-    for ev in reading.trail:
-        if ev[0] == "cross":
-            seen += 1
-            continue
-        _, l, c, d = ev
-        table[offset[l] + c] = ((seen - 1 - drawn._rotation) % m if m else 0, d)
-    return table
-
-
-def _region_classes(word: SliceWord, levels, offset: list[int]) -> list[int]:
-    """The class of every gap, gap j of line l being ``offset[l] + j``; a
-    class is one connected piece of the cut-open annulus minus the knot."""
-    parent = list(range(offset[-1]))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def join(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    lines = len(offset) - 1
-    for i, s in enumerate(word.slices):
-        below = len(levels[i])
-        lo, up = offset[i], offset[(i + 1) % lines]
-        p = s.position
-        if isinstance(s, Cap):
-            for j in range(below + 1):
-                join(lo + j, up + (j if j < p else j + 2))
-            join(lo + p - 1, up + p + 1)  # around the new tip; gap p is fresh
-        elif isinstance(s, Cup):
-            for j in range(p):
-                join(lo + j, up + j)
-            for j in range(p + 1, below + 1):  # the gap between the dying strands stops
-                join(lo + j, up + j - 2)
-        else:
-            for j in range(below + 1):
-                if j != p:  # the crossing pinches the gap between its strands
-                    join(lo + j, up + j)
-    return [find(x) for x in range(len(parent))]
-
-
 def find_section(word: SliceWord, t: TDiagram):
     """Move the section of a drawn full knot so it crosses the knot only at
     markings kept from ``t``: returns the surviving refinement and the
@@ -497,40 +452,42 @@ def find_section(word: SliceWord, t: TDiagram):
     if t.base is not drawn.base and canonical_serialize(t.base) != canonical_serialize(drawn.base):
         raise InvalidDiagram("the markings refine a different diagram")
 
-    levels = reading.levels
-    lines = max(len(word.slices), 1)
-    offset = list(accumulate((len(levels[l]) + 1 for l in range(lines)), initial=0))
-    table = _passage_table(reading, drawn.base, offset)
-    region = _region_classes(word, levels, offset)
-    signs = [set(edge) for edge in t.markings]
-    # An edge runs between two crossings, so every passage of it joins the
-    # same two regions with the same sign each way, and a simple path
-    # crosses it at most once: a move is paid for by any marking of its
-    # sign.  Moves out of each region that t pays for, in passage order:
-    # (region across, edge, sign).
-    adj: dict[int, list] = {}
-    for gap, rec in enumerate(table):
-        if rec is None:
-            continue
-        left, right = region[gap - 1], region[gap]
-        if left == right:
-            continue  # crossing it would revisit the region
-        e, d = rec
-        if d in signs[e]:
-            adj.setdefault(left, []).append((right, e, d))
-        if -d in signs[e]:
-            adj.setdefault(right, []).append((left, e, -d))
-    start = region[0]
-    goal = region[len(levels[0])]
-    if start == goal:
+    # the knot cuts the annulus into its curve's faces (see the module
+    # docstring), and the glued boundary runs from class -1 to class +1
+    face, count = _curve_faces(drawn.base)
+    if count != drawn.base.n + 2:
+        raise RuntimeError("a real drawing's curve must lie on a sphere")
+    winding = _winding(face, count, drawn.markings)
+    if -1 not in winding:
         raise RuntimeError("a full knot must separate the boundaries")
-
-    # breadth-first, keeping the first way into each region: the path to
-    # the goal is the first in passage order among the fewest crossings
+    start, goal = winding.index(-1), winding.index(1)
+    # each edge's first passage (line, column), as line * width + column;
+    # the passages before the first crossing close the last edge
+    m, width = drawn.base.edge_count, len(reading.trail) + 1
+    first = [width * (len(word.slices) + 1)] * m
+    e = (-1 - drawn.base._rotation) % m
+    for ev in reading.trail:
+        if ev[0] == "cross":
+            e = (e + 1) % m
+        elif ev[1] * width + ev[2] < first[e]:
+            first[e] = ev[1] * width + ev[2]
+    # a simple face path crosses each edge at most once, so any marking of a
+    # move's sign pays for it; t's moves out of each face: (face across, edge, sign)
+    adj: list[list] = [[] for _ in range(count)]
+    for e in sorted(range(m), key=first.__getitem__):
+        a, b = face[2 * e], face[2 * e + 1]
+        if a == b:
+            continue  # crossing it would revisit the face
+        if 1 in t.markings[e]:
+            adj[b].append((a, e, 1))
+        if -1 in t.markings[e]:
+            adj[a].append((b, e, -1))
+    # breadth-first, keeping the first way into each face: the path to the
+    # goal is the first in passage order among the fewest crossings
     came: dict = {start: None}
     queue = [start]
     for at in queue:
-        for to, e, s in adj.get(at, ()):
+        for to, e, s in adj[at]:
             if to not in came:
                 came[to] = (at, e, s)
                 queue.append(to)

@@ -150,9 +150,8 @@ def direction_levels(word: SliceWord) -> list[tuple[int, ...]]:
 
 
 def _survey(word: SliceWord):
-    """(report, levels, trail, curves): the validation report, the direction
-    levels read, and, once the levels close up, the trail of the first closed
-    curve and the number of closed curves.
+    """(report, trail): the validation report and, once the levels close up,
+    the trail of the first closed curve.
 
     A passage is the strand at column c of gap g, walked up (d = 1) or down
     (d = -1) along its own direction, so (g, c) names it.  Gaps count modulo
@@ -173,7 +172,7 @@ def _survey(word: SliceWord):
             f"bottom {_dir_text(word.bottom)!r}"
         )
     if problem is not None:
-        return SliceReport(False, (problem,)), levels, [], 0
+        return SliceReport(False, (problem,)), []
     m = len(word.slices)
     trail: list[tuple] = []
     if not m:  # every strand runs once round the annulus and closes on itself
@@ -222,9 +221,9 @@ def _survey(word: SliceWord):
             if curves == 1 and 0 not in seen:  # the first curve covered every passage
                 break
     if curves == 1:
-        return SliceReport(True, ()), levels, trail, 1
+        return SliceReport(True, ()), trail
     problem = f"{curves} closed curves, need exactly one" if curves else "the word draws nothing"
-    return SliceReport(False, (problem,)), levels, trail, curves
+    return SliceReport(False, (problem,)), trail
 
 
 def validate_sliceword(word: SliceWord) -> SliceReport:
@@ -323,11 +322,10 @@ def parse_sliceword(text: str) -> SliceWord:
 
 
 class _Reading(NamedTuple):
-    """A valid word read once: its direction levels, the trail of its curve
-    (see :func:`_survey`), and the arrow id of every real crossing's level,
-    numbered by first visit."""
+    """A valid word read once: the trail of its curve (see :func:`_survey`)
+    and the arrow id of every real crossing's level, numbered by first
+    visit."""
 
-    levels: list[tuple[int, ...]]
     trail: list[tuple]
     arrows: dict[int, int]
 
@@ -335,14 +333,14 @@ class _Reading(NamedTuple):
 @_stored("_reading")
 def _read(word: SliceWord) -> _Reading:
     """Validate the word and walk its curve; raises on invalid words."""
-    report, levels, trail, _ = _survey(word)
+    report, trail = _survey(word)
     if not report.ok:
         raise InvalidDiagram("; ".join(report.problems))
     arrows: dict[int, int] = {}
     for ev in trail:
         if ev[0] == "cross":
             arrows.setdefault(ev[1], len(arrows) + 1)
-    return _Reading(levels, trail, arrows)
+    return _Reading(trail, arrows)
 
 
 def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:

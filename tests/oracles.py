@@ -359,7 +359,7 @@ def _brute_step(word, levels, g: int, c: int, d: int):
 def brute_survey(word):
     """``slices._survey`` by the step rule: every curve walked from a set of
     (gap, column, direction) states, one call per passage, and every trail
-    kept.  Returns (report, levels, first trail, curve count)."""
+    kept.  Returns (report, first trail, curve count)."""
     from torogram.slices import SliceReport, _dir_text, _levels
 
     levels, problem = _levels(word)
@@ -369,7 +369,7 @@ def brute_survey(word):
             f"bottom {_dir_text(word.bottom)!r}"
         )
     if problem is not None:
-        return SliceReport(False, (problem,)), levels, [], 0
+        return SliceReport(False, (problem,)), [], 0
     seen: set = set()
     curves = []
     for g in range(max(len(word.slices), 1)):  # the top gap is gap 0
@@ -384,11 +384,11 @@ def brute_survey(word):
             if trail:
                 curves.append(trail)
     if len(curves) == 1:
-        return SliceReport(True, ()), levels, curves[0], 1
+        return SliceReport(True, ()), curves[0], 1
     problem = (
         f"{len(curves)} closed curves, need exactly one" if curves else "the word draws nothing"
     )
-    return SliceReport(False, (problem,)), levels, curves[0] if curves else [], len(curves)
+    return SliceReport(False, (problem,)), curves[0] if curves else [], len(curves)
 
 
 def _rotation_key(tokens, arrows, shift: int):
@@ -576,11 +576,12 @@ def brute_section(word, t):
     1, every simple region path in move order, no distance bound.  Exponential
     in the number of strands; the reference for the breadth-first search."""
     from torogram.diagrams import TDiagram
-    from torogram.slices import _read, _tdiagram
+    from torogram.slices import _read, _tdiagram, direction_levels
 
     reading = _read(word)
+    levels = direction_levels(word)
     table = _passage_table(reading, _tdiagram(word, reading).base)
-    region = _region_classes(word, reading.levels)
+    region = _region_classes(word, levels)
     adj: dict = defaultdict(list)
     for (l, c), (e, r, d) in sorted(table.items()):
         left, right = region[(l, c - 1)], region[(l, c)]
@@ -589,7 +590,7 @@ def brute_section(word, t):
             adj[right].append(((l, c, 1), left, (e, r, -d)))
     for moves in adj.values():
         moves.sort()
-    start, goal = region[(0, 0)], region[(0, len(reading.levels[0]))]
+    start, goal = region[(0, 0)], region[(0, len(levels[0]))]
 
     def embed(path):
         """Per edge, the path's crossings in knot order matched greedily to

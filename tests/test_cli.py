@@ -336,6 +336,24 @@ def test_no_assert_guards_the_program():
         assert found == [], f"{path.name} asserts at lines {found}"
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports to re-export; every other import binds
+    # a name the module reads
+    src = Path(torogram.cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(bound - read) == [], f"{path.name} imports names it never uses"
+
+
 def test_batch_directory_reports_every_file(capsys, tmp_path):
     (tmp_path / "a-trefoil.gd").write_text(TREFOIL)
     (tmp_path / "b-val0.gd").write_text(ONE_ARROW_VAL0)

@@ -9,6 +9,8 @@ from torogram.braid import Letter, VirtualBraidWord, braid_to_sliceword, closure
 from torogram.diagrams import TDiagram, is_full
 from torogram.errors import InvalidDiagram, NotFull, NotRealRealizable
 from torogram.rebuild import (
+    _curve_faces,
+    _winding,
     annular_to_json,
     find_section,
     reconstruct,
@@ -24,6 +26,7 @@ from torogram.slices import (
     VirtualCross,
     _read,
     _tdiagram,
+    direction_levels,
     extract_tdiagram,
     represent_dgd,
     serialize_sliceword,
@@ -365,7 +368,9 @@ def test_section_is_idempotent_on_random_words():
 
 def test_every_passage_of_an_edge_joins_the_same_two_regions():
     # find_section rests on this: a move is paid for by any marking of its
-    # sign, and a simple region path crosses each edge at most once
+    # sign, and a simple region path crosses each edge at most once; the
+    # regions are the curve's faces, face[2e + 1] left of an upward passage
+    # of edge e, and the left boundary's region is the class -1 face
     rng = random.Random(67)
     words = [random_real_sliceword(rng, max_crossings=12) for _ in range(60)]
     while len(words) < 90:  # rebuilt braid closures, up to five strands
@@ -376,14 +381,24 @@ def test_every_passage_of_an_edge_joins_the_same_two_regions():
     repeated = 0
     for word in words:
         reading = _read(word)
-        region = _region_classes(word, reading.levels)
+        drawn = _tdiagram(word, reading)
+        face, faces = _curve_faces(drawn.base)
+        region = _region_classes(word, direction_levels(word))
         moves: dict[int, set] = {}
         passages: dict[int, int] = {}
-        for (l, c), (e, _, d) in _passage_table(reading, _tdiagram(word, reading).base).items():
+        to_face: dict = {}
+        for (l, c), (e, _, d) in _passage_table(reading, drawn.base).items():
             left, right = region[(l, c - 1)], region[(l, c)]
             moves.setdefault(e, set()).add(min((left, right, d), (right, left, -d)))
             passages[e] = passages.get(e, 0) + 1
+            up_left, up_right = face[2 * e + 1], face[2 * e]
+            want = (up_left, up_right) if d == 1 else (up_right, up_left)
+            assert (to_face.setdefault(left, want[0]), to_face.setdefault(right, want[1])) == want
         assert all(len(one) == 1 for one in moves.values()), serialize_sliceword(word)
+        assert set(to_face) == set(region.values())
+        assert sorted(to_face.values()) == list(range(faces))  # one-to-one onto the faces
+        winding = _winding(face, faces, drawn.markings)
+        assert winding.count(-1) == 1 and to_face[region[(0, 0)]] == winding.index(-1)
         repeated += sum(count > 1 for count in passages.values())
     assert repeated > 100  # many edges pass several lines
 

@@ -200,8 +200,8 @@ def test_curve_count_matches_the_union_find_oracle():
 
 
 def test_survey_matches_the_step_walk():
-    """Same report, levels, first trail and curve count as the step rule
-    walked one call per passage, on valid and invalid words alike."""
+    """Same report and first trail as the step rule walked one call per
+    passage, on valid and invalid words alike."""
     rng = random.Random(20261020)
     words = [random_closed_sliceword(rng) for _ in range(400)]
     words += [random_real_sliceword(rng, max_crossings=8) for _ in range(100)]
@@ -210,8 +210,9 @@ def test_survey_matches_the_step_walk():
     words += [_random_word(rng) for _ in range(400)]
     counts = set()
     for word in words:
-        assert _survey(word) == brute_survey(word), word
-        counts.add(min(_survey(word)[3], 2))
+        report, trail, curves = brute_survey(word)
+        assert _survey(word) == (report, trail), word
+        counts.add(min(curves, 2))
     assert counts == {0, 1, 2}
 
 
