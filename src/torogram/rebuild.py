@@ -69,6 +69,7 @@ from .slices import (
     RealCross,
     SliceWord,
     VirtualCross,
+    _apply_slice,
     _extraction,
     _read,
     direction_levels,
@@ -413,13 +414,15 @@ def to_sliceword(a: AnnularDiagram) -> SliceWord:
 def _half_turns(word: SliceWord) -> int:
     """Rotation number of a drawn word: every turning point is a cap or a
     cup, each worth half a turn with the sign of its left branch."""
-    levels = direction_levels(word)
+    dirs = list(word.bottom)
     acc = 0
-    for i, s in enumerate(word.slices):
+    for s in word.slices:
         if isinstance(s, Cap):
             acc -= s.left_direction
         elif isinstance(s, Cup):
-            acc -= levels[i][s.position - 1]
+            acc -= dirs[s.position - 1]
+        if _apply_slice(dirs, s) is not None:
+            raise RuntimeError("a drawn word must be valid")
     if acc % 2:
         raise RuntimeError("turning half-units must pair up")
     return acc // 2
@@ -461,16 +464,16 @@ def find_section(word: SliceWord, t: TDiagram):
     if -1 not in winding:
         raise RuntimeError("a full knot must separate the boundaries")
     start, goal = winding.index(-1), winding.index(1)
-    # each edge's first passage (line, column), as line * width + column;
-    # the passages before the first crossing close the last edge
-    m, width = drawn.base.edge_count, len(reading.trail) + 1
-    first = [width * (len(word.slices) + 1)] * m
+    # each edge's first passage (line, column), the least of its pieces'
+    # lowest ones; the passages before the first crossing close the last edge
+    m = drawn.base.edge_count
+    first = [(len(word.slices) + 1, 0)] * m
     e = (-1 - drawn.base._rotation) % m
     for ev in reading.trail:
         if ev[0] == "cross":
             e = (e + 1) % m
-        elif ev[1] * width + ev[2] < first[e]:
-            first[e] = ev[1] * width + ev[2]
+        else:
+            first[e] = min(first[e], ev[1:3])
     # a simple face path crosses each edge at most once, so any marking of a
     # move's sign pays for it; t's moves out of each face: (face across, edge, sign)
     adj: list[list] = [[] for _ in range(count)]

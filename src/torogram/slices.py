@@ -127,25 +127,16 @@ def _apply_slice(dirs: list[int], s: Slice) -> str | None:
     return None
 
 
-def _levels(word: SliceWord) -> tuple[list[tuple[int, ...]], str | None]:
-    """Strand directions at every gap up to the first illegal level, bottom
-    boundary first, and that level's problem or None."""
-    dirs = list(word.bottom)
-    out = [tuple(dirs)]
-    for i, s in enumerate(word.slices):
-        problem = _apply_slice(dirs, s)
-        if problem is not None:
-            return out, f"level {i + 1}: {problem}"
-        out.append(tuple(dirs))
-    return out, None
-
-
 def direction_levels(word: SliceWord) -> list[tuple[int, ...]]:
     """Strand directions at every gap, bottom boundary first; raises on
     illegal levels."""
-    levels, problem = _levels(word)
-    if problem is not None:
-        raise InvalidDiagram(problem)
+    dirs = list(word.bottom)
+    levels = [word.bottom]
+    for i, s in enumerate(word.slices):
+        problem = _apply_slice(dirs, s)
+        if problem is not None:
+            raise InvalidDiagram(f"level {i + 1}: {problem}")
+        levels.append(tuple(dirs))
     return levels
 
 
@@ -153,73 +144,75 @@ def _survey(word: SliceWord):
     """(report, trail): the validation report and, once the levels close up,
     the trail of the first closed curve.
 
-    A passage is the strand at column c of gap g, walked up (d = 1) or down
-    (d = -1) along its own direction, so (g, c) names it.  Gaps count modulo
-    the number of levels, so gap 0 is the glued boundary and a walk crosses it
-    like any other gap.  The level crossed is g going up and g - 1 going down;
-    the slice that opens two strands ahead is a cap going up and a cup going
-    down, and the other kind turns the strand back in the same gap.  Curves
-    are found from the lowest gap and leftmost column up; the first starts at
-    the bottom of column 1, or on the left branch of the first cap when the
-    boundary is empty.  Its trail holds ("line", gap, column, direction) per
-    passage and ("cross", level, over) per real crossing, in curve order; the
-    other curves are walked only to be counted.
+    One sweep, bottom to top, cuts the curve into runs: vertical pieces of
+    strand, each from the bottom boundary or a cap up to the top boundary or
+    a cup.  A real crossing adds ("cross", level, over) to both of its runs
+    and swaps them.  A run also holds ("line", gap, column, direction) for
+    the lowest passage of each of its pieces between crossings.  The top is
+    glued to gap 0, the bottom, column by column, so a piece reaching only
+    the top adds nothing.  A cap's runs join at their bottom ends, a cup's
+    at their top ends.  Curves are the cycles of runs walked along the
+    strand, a run read backwards when walked down, counted from run 0: the
+    bottom of column 1, or the first cap's left branch when the boundary is
+    empty.  The trail is the first curve's, read from run 0's lowest
+    passage; the others are only counted.
     """
-    levels, problem = _levels(word)
-    if problem is None and levels[-1] != word.bottom:
+    m = len(word.slices)
+    dirs, heading = list(word.bottom), list(word.bottom)  # per column; per run
+    runs = [[("line", 0, c, d)] for c, d in enumerate(dirs, start=1)]
+    col = list(range(len(dirs)))  # the run at each column
+    after = [-1] * len(dirs)  # the run the curve enters on leaving each run
+    for i, s in enumerate(word.slices):
+        problem = _apply_slice(dirs, s)
+        if problem is not None:
+            return SliceReport(False, (f"level {i + 1}: {problem}",)), []
+        p = s.position
+        if isinstance(s, Cap):  # two runs start, joined at their bottom ends
+            a, d = len(runs), s.left_direction
+            col[p - 1:p - 1] = [a, a + 1]
+            heading += [d, -d]
+            runs += [[], []]
+            after += [a + 1, -1] if d == -1 else [-1, a]  # down one run, up its mate
+            pieces = ((a, p), (a + 1, p + 1))
+        elif isinstance(s, Cup):  # two runs end, joined at their top ends
+            a, b = col[p - 1:p + 1]
+            del col[p - 1:p + 1]
+            up, down = (a, b) if heading[a] == 1 else (b, a)
+            after[up] = down
+            continue
+        else:
+            a, b = col[p - 1:p + 1]
+            col[p - 1:p + 1] = b, a
+            if isinstance(s, VirtualCross):
+                continue
+            over = s.sign == heading[a] * heading[b]  # a rises from the left column
+            runs[a].append(("cross", i, over))
+            runs[b].append(("cross", i, not over))
+            pieces = ((a, p + 1), (b, p))
+        if i + 1 < m:  # above the top level a piece reaches only the glued boundary
+            for r, c in pieces:
+                runs[r].append(("line", i + 1, c, heading[r]))
+    if dirs != list(word.bottom):
         problem = (
-            f"top boundary {_dir_text(levels[-1])!r} does not close up with "
+            f"top boundary {_dir_text(dirs)!r} does not close up with "
             f"bottom {_dir_text(word.bottom)!r}"
         )
-    if problem is not None:
         return SliceReport(False, (problem,)), []
-    m = len(word.slices)
-    trail: list[tuple] = []
-    if not m:  # every strand runs once round the annulus and closes on itself
-        curves = len(word.bottom)
-        if curves:
-            trail.append(("line", 0, 1, word.bottom[0]))
-    else:
-        # per level: 0 real, 1 virtual, 2 cap, 3 cup; its column; and for a
-        # real crossing whether the strand rising from its left column is over
-        kind, pos, over = [], [], []
-        for s, dirs in zip(word.slices, levels):
-            p = s.position
-            pos.append(p)
-            kind.append(0 if isinstance(s, RealCross) else 1 if isinstance(s, VirtualCross)
-                        else 2 if isinstance(s, Cap) else 3)
-            over.append(kind[-1] == 0 and s.sign == dirs[p - 1] * dirs[p])
-        off = list(accumulate(map(len, levels[:m]), initial=-1))  # passage (g, c) at off[g] + c
-        seen = bytearray(off[-1] + 1)
-        curves = 0
-        starts = ((g, c, d) for g in range(m) for c, d in enumerate(levels[g], start=1))
-        for g, c, d in starts:  # the walk moves g, c, d; the next start rebinds them
-            if seen[off[g] + c]:
-                continue
-            curves += 1
-            out = trail if curves == 1 else []
-            while not seen[off[g] + c]:
-                seen[off[g] + c] = 1
-                out.append(("line", g, c, d))
-                ahead = (g + d) % m
-                i = g if d == 1 else ahead
-                p = pos[i]
-                if c < p:
-                    g = ahead
-                elif kind[i] < 2:  # a crossing swaps columns p and p + 1
-                    if c <= p + 1:
-                        if not kind[i]:  # it rose from column p iff it sits there below
-                            out.append(("cross", i, over[i] == ((c == p) == (d == 1))))
-                        c = 2 * p + 1 - c
-                    g = ahead
-                elif (kind[i] == 2) == (d == 1):  # two strands open ahead
-                    g, c = ahead, c + 2
-                elif c <= p + 1:  # the strand turns back in the same gap
-                    c, d = 2 * p + 1 - c, -d
-                else:
-                    g, c = ahead, c - 2
-            if curves == 1 and 0 not in seen:  # the first curve covered every passage
-                break
+    for c, r in enumerate(col):  # glue the top of column c to its bottom
+        leave, enter = (r, c) if heading[r] == 1 else (c, r)
+        after[leave] = enter
+    curves, trail = 0, []
+    for r in range(len(runs)):
+        if after[r] < 0:  # walked already
+            continue
+        curves += 1
+        while after[r] >= 0:
+            if curves == 1:
+                trail += runs[r] if heading[r] == 1 else reversed(runs[r])
+            after[r], r = -1, after[r]
+    if heading and heading[0] == -1:  # run 0 was read from its top
+        k = len(runs[0]) - 1
+        trail = trail[k:] + trail[:k]
     if curves == 1:
         return SliceReport(True, ()), trail
     problem = f"{curves} closed curves, need exactly one" if curves else "the word draws nothing"
@@ -322,9 +315,10 @@ def parse_sliceword(text: str) -> SliceWord:
 
 
 class _Reading(NamedTuple):
-    """A valid word read once: the trail of its curve (see :func:`_survey`)
-    and the arrow id of every real crossing's level, numbered by first
-    visit."""
+    """A valid word read once: the trail of its curve, its crossings in curve
+    order with the lowest passage of each run's piece between them (see
+    :func:`_survey`), so linear in slices plus width; and the arrow id of
+    every real crossing's level, numbered by first visit."""
 
     trail: list[tuple]
     arrows: dict[int, int]

@@ -360,9 +360,15 @@ def brute_survey(word):
     """``slices._survey`` by the step rule: every curve walked from a set of
     (gap, column, direction) states, one call per passage, and every trail
     kept.  Returns (report, first trail, curve count)."""
-    from torogram.slices import SliceReport, _dir_text, _levels
+    from torogram.slices import SliceReport, _apply_slice, _dir_text
 
-    levels, problem = _levels(word)
+    dirs, levels, problem = list(word.bottom), [word.bottom], None
+    for i, s in enumerate(word.slices):
+        problem = _apply_slice(dirs, s)
+        if problem is not None:
+            problem = f"level {i + 1}: {problem}"
+            break
+        levels.append(tuple(dirs))
     if problem is None and levels[-1] != word.bottom:
         problem = (
             f"top boundary {_dir_text(levels[-1])!r} does not close up with "
@@ -499,12 +505,13 @@ def brute_zero_cycle(g: DecoratedGaussDiagram) -> bool:
     return True
 
 
-def _passage_table(reading, drawn):
+def _passage_table(word, drawn):
     """Where the drawn knot pierces each horizontal line, keyed by (line,
     column): the edge of ``drawn``, the rank along that edge in knot order,
-    and the strand direction."""
-    m = 2 * len(reading.arrows)
-    trail = reading.trail
+    and the strand direction, read off the full passage trail of
+    :func:`brute_survey`."""
+    m = 2 * drawn.n
+    trail = brute_survey(word)[1]
     # from the first crossing on, the passages before it close the last edge
     first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
     table = {}
@@ -576,11 +583,10 @@ def brute_section(word, t):
     1, every simple region path in move order, no distance bound.  Exponential
     in the number of strands; the reference for the breadth-first search."""
     from torogram.diagrams import TDiagram
-    from torogram.slices import _read, _tdiagram, direction_levels
+    from torogram.slices import extract_tdiagram, direction_levels
 
-    reading = _read(word)
     levels = direction_levels(word)
-    table = _passage_table(reading, _tdiagram(word, reading).base)
+    table = _passage_table(word, extract_tdiagram(word).base)
     region = _region_classes(word, levels)
     adj: dict = defaultdict(list)
     for (l, c), (e, r, d) in sorted(table.items()):

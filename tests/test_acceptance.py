@@ -53,6 +53,7 @@ from torogram.refine import (
 )
 from torogram.slices import (
     VirtualCross,
+    _read,
     extract_tdiagram,
     parse_sliceword,
     represent_tdiagram,
@@ -442,13 +443,44 @@ def test_a_curve_off_the_annulus_is_refused_before_any_refinement():
 
 def test_a_word_of_many_curves_validates_in_bounded_memory():
     # every curve's trail was kept, so memory grew with the square of the
-    # word: 18 MB here, and 4.3 GB for 3000 caps and cups
-    word = parse_sliceword("bottom\n" + "cap 1 +\n" * 200 + "cup 1\n" * 200)
+    # word: 18 MB for 200 caps and cups, and 4.3 GB for 3000; walking every
+    # passage past per-gap direction tuples still took 11.9 s on 3000
+    for depth in (200, 3000):
+        word = parse_sliceword("bottom\n" + "cap 1 +\n" * depth + "cup 1\n" * depth)
+        t0 = time.perf_counter()
+        report = validate_sliceword(word)
+        assert time.perf_counter() - t0 < 0.1
+        tracemalloc.start()
+        try:
+            validate_sliceword(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.problems == (f"{depth} closed curves, need exactly one",)
+        assert peak < 4 * 2**20
+
+
+def _wide_closure(strands: int):
+    """The closure of s1 s2 ... s(strands - 1), one curve across every strand."""
+    letters = tuple(Letter("s", i) for i in range(1, strands))
+    return braid_to_sliceword(VirtualBraidWord(strands, letters))
+
+
+def test_a_wide_closure_reads_in_time_and_memory_linear_in_slices_plus_width():
+    # every passage was walked and kept: at 1500 strands validation took
+    # ~1 s and the stored reading held 241 MB, 2.25 million passages
+    word = _wide_closure(1500)
+    t0 = time.perf_counter()
+    report = validate_sliceword(word)
+    assert time.perf_counter() - t0 < 0.05
+    assert report.ok
     tracemalloc.start()
     try:
-        report = validate_sliceword(word)
-        peak = tracemalloc.get_traced_memory()[1]
+        _read(word)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert report.problems == ("200 closed curves, need exactly one",)
-    assert peak < 4 * 2**20
+    assert held < 10 * 10**6
+    for strands in (750, 1500):
+        word = _wide_closure(strands)
+        assert len(_read(word).trail) <= 6 * (len(word.slices) + strands)

@@ -387,7 +387,7 @@ def test_every_passage_of_an_edge_joins_the_same_two_regions():
         moves: dict[int, set] = {}
         passages: dict[int, int] = {}
         to_face: dict = {}
-        for (l, c), (e, _, d) in _passage_table(reading, drawn.base).items():
+        for (l, c), (e, _, d) in _passage_table(word, drawn.base).items():
             left, right = region[(l, c - 1)], region[(l, c)]
             moves.setdefault(e, set()).add(min((left, right, d), (right, left, -d)))
             passages[e] = passages.get(e, 0) + 1

@@ -199,8 +199,26 @@ def test_curve_count_matches_the_union_find_oracle():
     assert min(seen.values()) > 50  # empty, single and multi-curve words all occur
 
 
+def _by_edge(trail):
+    """The trail read from its first crossing on, each stretch of passages
+    between two crossings cut down to its lowest passage and, in order, its
+    boundary passages."""
+    first = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
+    out, lines = [], []
+    for ev in trail[first:] + trail[:first] + [("cross",)]:
+        if ev[0] == "line":
+            lines.append(ev)
+            continue
+        if lines:
+            out.append((min(lines), [line for line in lines if line[1] == 0]))
+        out.append(ev)
+        lines = []
+    return out[:-1]
+
+
 def test_survey_matches_the_step_walk():
-    """Same report and first trail as the step rule walked one call per
+    """Same report, and the same crossings with each edge's lowest passage
+    and boundary passages between them, as the step rule walked one call per
     passage, on valid and invalid words alike."""
     rng = random.Random(20261020)
     words = [random_closed_sliceword(rng) for _ in range(400)]
@@ -211,7 +229,9 @@ def test_survey_matches_the_step_walk():
     counts = set()
     for word in words:
         report, trail, curves = brute_survey(word)
-        assert _survey(word) == (report, trail), word
+        got_report, got_trail = _survey(word)
+        assert got_report == report, word
+        assert _by_edge(got_trail) == _by_edge(trail), word
         counts.add(min(curves, 2))
     assert counts == {0, 1, 2}
 
