@@ -17,7 +17,7 @@ T-diagram serializes from the tied rotation with the least marking tuple.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, attrgetter
 from typing import Iterable, NamedTuple
 
@@ -137,111 +137,116 @@ class Arrow:
         _set_field(self, "valuation", valuation)
 
 
-def _least_rotations(tokens: tuple[Token, ...], arrows: dict[int, Arrow]) -> tuple[int, ...]:
-    """Ascending rotations of ``tokens`` tying for the least rotation key.
+def _least_rotations(heads: list[int], tails: list[int], arrows: tuple) -> tuple[int, ...]:
+    """Ascending rotations tying for the least rotation key of the token word
+    with arrow k's H at ``heads[k - 1]`` and T at ``tails[k - 1]``.
 
     A rotation's key numbers arrows by first appearance, so at depth i a
     token reads as its kind and its distance d back to its partner: a partner
     already read (d <= i) gave a smaller number the further back it lies, a
-    fresh arrow takes the next one.  All candidates advance one token at a
-    time and only those with the least symbol stay; signs, then valuations,
-    in first-seen order break what is left.  A word invariant under a shift
-    by its least period p ties in steps of p, so only rotations below p
-    compete.  O(m) unless many candidates agree for long.
+    fresh arrow takes the next one, so the H starts lead.  All candidates
+    advance one token at a time and only those with the least symbol stay;
+    signs, then valuations, in first-seen order break what is left.  A word
+    invariant under a shift by its least period p ties in steps of p, so
+    only rotations below p compete.  O(m) unless many candidates agree for long.
     """
-    m = len(tokens)
+    m = 2 * len(arrows)
     if not m:
         return (0,)
-    first: dict[int, int] = {}
     back = [0] * m  # cyclic distance back to the partner token
-    for q, tok in enumerate(tokens):
-        if tok.arrow in first:
-            f = first[tok.arrow]
-            back[q], back[f] = q - f, m - q + f
-        else:
-            first[tok.arrow] = q
-    kind = [(m + 1) * (tok.kind == "T") for tok in tokens]
+    kind = [0] * m  # m + 1 at a T
+    at = [None] * m  # the arrow at each token
+    for a, h, t in zip(arrows, heads, tails):
+        kind[t] = m + 1
+        at[h] = at[t] = a
+        f, q = (h, t) if h < t else (t, h)
+        back[q], back[f] = q - f, m - q + f
     p = _closed_period(list(map(add, kind, back)))  # the shape alone
     if p < m:  # a period of the whole word is one of its shape
-        p = _closed_period([(kind[q], back[q], arrows[t.arrow].sign, arrows[t.arrow].valuation)
-                            for q, t in enumerate(tokens)])
-    live = list(range(p))
-    for i in range(m):
+        p = _closed_period([(kind[q], back[q], at[q].sign, at[q].valuation) for q in range(m)])
+    live = [r for r in range(p) if not kind[r]]
+    kind2, back2 = kind * 2, back * 2  # read on past the end without a modulo
+    for i in range(1, m):
         if len(live) == 1:
             break
-        # kind first; a fresh arrow (m) after any partner read, far ones first
-        syms = [kind[q] + (m - back[q] if back[q] <= i else m)
-                for q in ((r + i) % m for r in live)]
+        # kind first (T is m + 1), then a partner read, far ones first, then a fresh one
+        syms = [kind2[r + i] - (back2[r + i] if back2[r + i] <= i else 0) for r in live]
         least = min(syms)
         live = [r for r, s in zip(live, syms) if s == least]
 
     def decorations(r: int):
-        seen = [arrows[tokens[(r + i) % m].arrow] for i in range(m) if back[(r + i) % m] > i]
+        seen = [at[(r + i) % m] for i in range(m) if back[(r + i) % m] > i]
         return [a.sign for a in seen], [a.valuation for a in seen]
 
     return tuple(range(live[0] if len(live) == 1 else min(live, key=decorations), m, p))
 
 
 def _closed_period(word: list) -> int:
-    """The least period of ``word`` that closes up round the circle: its
-    least period by the prefix function when that divides the length, else
-    the length."""
+    """The least period of ``word`` that closes up round the circle: the least
+    divisor d of its length with the word invariant under a shift by d.  A
+    divisor is tested in C, and only when the word's first letter recurs at d."""
     m = len(word)
-    border = [0] * m
-    for q in range(1, m):
-        b = border[q - 1]
-        while b and word[q] != word[b]:
-            b = border[b - 1]
-        border[q] = b + (word[q] == word[b])
-    p = m - border[-1]
-    return m if m % p else p
+    return next((d for d in range(1, m // 2 + 1)
+                 if m % d == 0 and word[d] == word[0] and word[d:] == word[:-d]), m)
 
 
 @record
 class DecoratedGaussDiagram:
-    """Arrow endpoints on the circle plus signs, valuations and the circle valuation."""
+    """Arrow endpoints on the circle plus signs, valuations and the circle
+    valuation.  Construction checks the tokens in one pass that finds each
+    arrow's H and T, reads the canonical rotation off those positions and
+    stores them, rotated, as ``positions``: arrow id -> (H position, T position)."""
 
     tokens: tuple[Token, ...]
     arrows: tuple[Arrow, ...]
     circle_valuation: int
     # set by __post_init__, outside init, repr and compare: the input rotation
-    # the stored tokens start at (_rotation), and the rotations of the stored
-    # tokens tying for the least key, starting with 0 (_tied_rotations)
+    # the stored tokens start at (_rotation), the rotations of the stored
+    # tokens tying for the least key, starting with 0 (_tied_rotations), and
+    # positions
     _admitted = _transitions = _realized = _texts = None  # see _stored
 
     def __post_init__(self) -> None:
         tokens = self.tokens
         if type(tokens) is not tuple or not all(type(tok) is Token for tok in tokens):
             tokens = tuple(Token(k, a) for k, a in tokens)
-        arrows = tuple(sorted(self.arrows, key=lambda a: a.id))
+        arrows = tuple(sorted(self.arrows, key=attrgetter("id")))
         ids = [a.id for a in arrows]
         n = len(arrows)
         if ids != list(range(1, n + 1)):
             raise InvalidDiagram(f"arrow ids must be exactly 1..{n}, got {ids}")
-        try:  # one comparison when every token is right
-            fine = sorted(tokens) == [*zip("H" * n, ids), *zip("T" * n, ids)]
-        except TypeError:  # a kind or an arrow of another type
-            fine = False
+        heads, tails = [-1] * n, [-1] * n  # token positions by id - 1, in one pass
+        fine = len(tokens) == 2 * n
+        for q, (kind, a) in enumerate(tokens):
+            slots = heads if kind == "H" else tails if kind == "T" else None
+            if slots is None or type(a) is not int or not 0 < a <= n or slots[a - 1] >= 0:
+                fine = False
+                break
+            slots[a - 1] = q
         if not fine:  # name the first fault in sequence order
             declared, seen = set(ids), set()
-            for tok in tokens:
+            for q, tok in enumerate(tokens):
                 if tok.kind not in ("H", "T"):
                     raise InvalidDiagram(f"unknown token kind {tok.kind!r}")
                 if tok.arrow not in declared:
                     raise InvalidDiagram(f"token for undeclared arrow {tok.arrow}")
                 if tok in seen:
                     raise InvalidDiagram(f"duplicate token {tok.kind}{tok.arrow}")
-                seen.add(tok)
+                seen.add(tok)  # an id of another type equal to one in 1..n fills its slot here
+                (heads if tok.kind == "H" else tails)[int(tok.arrow) - 1] = q
             if len(tokens) != 2 * n:
                 raise InvalidDiagram(
                     f"expected {2 * n} tokens for {n} arrows, got {len(tokens)}"
                 )
-        ties = _least_rotations(tokens, {a.id: a for a in arrows})
-        shift = ties[0]
-        object.__setattr__(self, "tokens", tokens[shift:] + tokens[:shift])
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "_rotation", shift)
-        object.__setattr__(self, "_tied_rotations", tuple(r - shift for r in ties))
+        ties = _least_rotations(heads, tails, arrows)
+        shift, m = ties[0], 2 * n
+        if shift:
+            heads, tails = [(h - shift) % m for h in heads], [(t - shift) % m for t in tails]
+        _set_field(self, "tokens", tokens[shift:] + tokens[:shift])
+        _set_field(self, "arrows", arrows)
+        _set_field(self, "_rotation", shift)
+        _set_field(self, "_tied_rotations", tuple(r - shift for r in ties))
+        _set_field(self, "positions", dict(zip(ids, zip(heads, tails))))
 
     @property
     def n(self) -> int:
@@ -254,15 +259,6 @@ class DecoratedGaussDiagram:
     @cached_property
     def arrow_map(self) -> dict[int, Arrow]:
         return {a.id: a for a in self.arrows}
-
-    @cached_property
-    def positions(self) -> dict[int, tuple[int, int]]:
-        """arrow id -> (position of H token, position of T token)."""
-        heads: dict[int, int] = {}
-        tails: dict[int, int] = {}
-        for i, tok in enumerate(self.tokens):
-            (heads if tok.kind == "H" else tails)[tok.arrow] = i
-        return {a.id: (heads[a.id], tails[a.id]) for a in self.arrows}
 
     @cached_property
     def reference_counts(self) -> tuple[int, ...]:
@@ -329,15 +325,14 @@ class TDiagram:
     _leveled = _braid = None  # see _stored
 
     def __post_init__(self) -> None:
-        marks = tuple(tuple(edge) for edge in self.markings)
+        marks = tuple(map(tuple, self.markings))
         if len(marks) != self.base.edge_count:
             raise InvalidDiagram(
                 f"expected marking lists for {self.base.edge_count} edges, got {len(marks)}"
             )
-        for edge in marks:
-            for s in edge:
-                if s not in (1, -1):
-                    raise InvalidDiagram(f"marking sign must be +1 or -1, got {s}")
+        for s in chain.from_iterable(marks):
+            if s not in (1, -1):
+                raise InvalidDiagram(f"marking sign must be +1 or -1, got {s}")
         object.__setattr__(self, "markings", marks)
 
     @cached_property
@@ -376,11 +371,10 @@ def assemble_tdiagram(
     stored edge order; this does that bookkeeping.
     """
     g = DecoratedGaussDiagram(tuple(tokens), tuple(arrows), circle_valuation)
-    marks = [tuple(edge) for edge in markings]
-    m = g.edge_count
-    if len(marks) != m:
-        raise InvalidDiagram(f"expected {m} marking lists, got {len(marks)}")
-    return TDiagram(g, tuple(marks[(e + g._rotation) % m] for e in range(m)))
+    marks = list(map(tuple, markings))
+    if len(marks) != g.edge_count:
+        raise InvalidDiagram(f"expected {g.edge_count} marking lists, got {len(marks)}")
+    return TDiagram(g, tuple(marks[g._rotation:] + marks[:g._rotation]))
 
 
 @record
@@ -588,6 +582,13 @@ def _least_rotation(seq) -> int:
 _TOKEN_KINDS = ("H", "T")
 
 
+def _int(value: str, lineno: int, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {value!r}", lineno) from None
+
+
 def parse_diagram(text: str) -> DecoratedGaussDiagram | TDiagram:
     """Parse the ``.gd`` format; returns a T-diagram iff markings appear.
 
@@ -614,12 +615,6 @@ def parse_diagram(text: str) -> DecoratedGaussDiagram | TDiagram:
         if need not in fields:
             raise ParseError(f"missing '{need}' line")
 
-    def _int(value: str, lineno: int, what: str) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"{what} must be an integer, got {value!r}", lineno) from None
-
     lineno, vals = fields["circle"]
     if len(vals) != 1:
         raise ParseError("'circle' takes exactly one integer", lineno)
@@ -637,25 +632,25 @@ def parse_diagram(text: str) -> DecoratedGaussDiagram | TDiagram:
     leading: list[int] = []
     edge_marks: dict[int, list[int]] = {}
     any_marks = False
-    raw_line = lines[seq_line - 1]
-    cursor = 0
-    for item in seq_items:
-        col = raw_line.index(item, cursor) + 1
-        cursor = col - 1 + len(item)
+    for j, item in enumerate(seq_items):
         if item == "M+" or item == "M-":
             any_marks = True
             pending.append(1 if item == "M+" else -1)
-        elif item[:1] in _TOKEN_KINDS:
-            arrow_id = _int(item[1:], seq_line, "arrow id") if item[1:] else None
-            if arrow_id is None:
-                raise ParseError(f"token {item!r} is missing its arrow id", seq_line, col)
+        elif item[:1] in _TOKEN_KINDS and item[1:]:
+            arrow_id = _int(item[1:], seq_line, "arrow id")
             if not tokens:
                 leading = pending
             else:
                 edge_marks[len(tokens) - 1] = pending
             pending = []
             tokens.append(Token(item[:1], arrow_id))
-        else:
+        else:  # the column: each item looked up in the line after the one before
+            raw, col = lines[seq_line - 1], 0
+            for seen in seq_items[:j + 1]:
+                col = raw.index(seen, col) + len(seen)
+            col += 1 - len(item)
+            if item in _TOKEN_KINDS:
+                raise ParseError(f"token {item!r} is missing its arrow id", seq_line, col)
             raise ParseError(f"unknown token {item!r}", seq_line, col)
     if len(tokens) != 2 * n:
         raise ParseError(

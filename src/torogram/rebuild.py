@@ -52,6 +52,8 @@ odd.  Component maps label crossings ``x<id>``, loose ends
 """
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+
 from .diagrams import (
     DecoratedGaussDiagram,
     TDiagram,
@@ -72,7 +74,6 @@ from .slices import (
     _apply_slice,
     _extraction,
     _read,
-    direction_levels,
 )
 
 
@@ -512,16 +513,20 @@ def find_section(word: SliceWord, t: TDiagram):
 # -- SVG ----------------------------------------------------------------------------
 
 
+_WIDTH_STEP = {Cap: 2, Cup: -2}  # strands a level adds
+
+
 def render_svg(a: AnnularDiagram) -> str:
     """A fixed-layout picture of the rebuilt diagram: levels run left to
     right, the section is the dashed vertical line on either side, under
     strands are drawn broken."""
     word = a.word
-    levels = direction_levels(word)
     lcount = max(len(word.slices), 1)
     unit = 36.0
     margin = 24.0
-    cols = max(len(lv) for lv in levels)
+    # the widest level: a cap adds two strands, a cup takes two away
+    cols = max(accumulate(map(_WIDTH_STEP.get, map(type, word.slices), repeat(0)),
+                          initial=len(word.bottom)))
     width = margin * 2 + lcount * unit
     height = margin * 2 + (cols + 1) * unit
     # level l at x[l], column c at y[c], and their text
@@ -543,12 +548,14 @@ def render_svg(a: AnnularDiagram) -> str:
     body: list[str] = []
     if not word.slices:
         body += [seg(0, c, c) for c in range(1, len(word.bottom) + 1)]
+    dirs = list(word.bottom)  # the strand directions, carried up level by level
     for i, s in enumerate(word.slices):
-        below = len(levels[i])
-        p = s.position
+        below, p = len(dirs), s.position
+        if (problem := _apply_slice(dirs, s)) is not None:
+            raise InvalidDiagram(f"level {i + 1}: {problem}")
         if isinstance(s, RealCross):
             body += [seg(i, c, c) for c in range(1, below + 1) if c not in (p, p + 1)]
-            rising_over = s.sign == levels[i][p - 1] * levels[i][p]
+            rising_over = s.sign == dirs[p - 1] * dirs[p]  # the swap keeps the product
             body += [
                 '<g class="crossing">',
                 seg(i, p, p + 1, broken=not rising_over),

@@ -100,7 +100,9 @@ def _lex_least(tg: TransitionGraph, counts: list[int], signs: list[int]) -> list
         return counts[e] + off[v] + lift[comp[v]] - off[u] - lift[comp[u]]
 
     def merge(a: int, b: int) -> None:
-        a, b = sorted((comp[a], comp[b]), key=lambda c: -len(members[c]))
+        a, b = comp[a], comp[b]
+        if len(members[a]) < len(members[b]):  # into the larger; a on a tie
+            a, b = b, a
         for v in members[b]:
             comp[v] = a
             off[v] += lift[b] - lift[a]

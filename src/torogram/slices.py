@@ -16,6 +16,8 @@ from .diagrams import Arrow, DecoratedGaussDiagram, TDiagram, Token, assemble_td
 from .diagrams import _set_field, _stored, record
 from .errors import InvalidDiagram, NoLevels, ParseError
 
+_new_token = tuple.__new__  # Token(kind, arrow) without its Python-level __new__
+
 
 def _check_sign(value: int, what: str) -> None:
     if value not in (1, -1):
@@ -155,7 +157,9 @@ def _survey(word: SliceWord):
     strand, a run read backwards when walked down, counted from run 0: the
     bottom of column 1, or the first cap's left branch when the boundary is
     empty.  The trail is the first curve's, read from run 0's lowest
-    passage; the others are only counted.
+    passage; the others are only counted.  A crossing with both its strands
+    is swept in place; other slices, and every problem, go through
+    :func:`_apply_slice`.
     """
     m = len(word.slices)
     dirs, heading = list(word.bottom), list(word.bottom)  # per column; per run
@@ -163,35 +167,34 @@ def _survey(word: SliceWord):
     col = list(range(len(dirs)))  # the run at each column
     after = [-1] * len(dirs)  # the run the curve enters on leaving each run
     for i, s in enumerate(word.slices):
+        p = s.position
+        if isinstance(s, (RealCross, VirtualCross)) and p < len(dirs):
+            dirs[p - 1], dirs[p] = dirs[p], dirs[p - 1]
+            a, b = col[p - 1], col[p]
+            col[p - 1], col[p] = b, a
+            if isinstance(s, RealCross):
+                over = s.sign == heading[a] * heading[b]  # a rises from the left column
+                runs[a].append(("cross", i, over))
+                runs[b].append(("cross", i, not over))
+                if i + 1 < m:  # above the top level a piece reaches only the glued boundary
+                    runs[a].append(("line", i + 1, p + 1, heading[a]))
+                    runs[b].append(("line", i + 1, p, heading[b]))
+            continue
         problem = _apply_slice(dirs, s)
         if problem is not None:
             return SliceReport(False, (f"level {i + 1}: {problem}",)), []
-        p = s.position
         if isinstance(s, Cap):  # two runs start, joined at their bottom ends
             a, d = len(runs), s.left_direction
             col[p - 1:p - 1] = [a, a + 1]
             heading += [d, -d]
-            runs += [[], []]
             after += [a + 1, -1] if d == -1 else [-1, a]  # down one run, up its mate
-            pieces = ((a, p), (a + 1, p + 1))
-        elif isinstance(s, Cup):  # two runs end, joined at their top ends
+            runs += ([[("line", i + 1, p, d)], [("line", i + 1, p + 1, -d)]]
+                     if i + 1 < m else [[], []])
+        else:  # a cup: two runs end, joined at their top ends
             a, b = col[p - 1:p + 1]
             del col[p - 1:p + 1]
             up, down = (a, b) if heading[a] == 1 else (b, a)
             after[up] = down
-            continue
-        else:
-            a, b = col[p - 1:p + 1]
-            col[p - 1:p + 1] = b, a
-            if isinstance(s, VirtualCross):
-                continue
-            over = s.sign == heading[a] * heading[b]  # a rises from the left column
-            runs[a].append(("cross", i, over))
-            runs[b].append(("cross", i, not over))
-            pieces = ((a, p + 1), (b, p))
-        if i + 1 < m:  # above the top level a piece reaches only the glued boundary
-            for r, c in pieces:
-                runs[r].append(("line", i + 1, c, heading[r]))
     if dirs != list(word.bottom):
         problem = (
             f"top boundary {_dir_text(dirs)!r} does not close up with "
@@ -315,13 +318,17 @@ def parse_sliceword(text: str) -> SliceWord:
 
 
 class _Reading(NamedTuple):
-    """A valid word read once: the trail of its curve, its crossings in curve
-    order with the lowest passage of each run's piece between them (see
-    :func:`_survey`), so linear in slices plus width; and the arrow id of
-    every real crossing's level, numbered by first visit."""
+    """A valid word read once: its curve's trail (see :func:`_survey`), linear
+    in slices plus width, and from one walk over it each crossing level's
+    arrow id by first visit, the tokens, each arrow's H and T positions by
+    id - 1, and the markings of the edge after each token."""
 
     trail: list[tuple]
     arrows: dict[int, int]
+    tokens: tuple[Token, ...]
+    heads: list[int]
+    tails: list[int]
+    rows: list[list[int]]
 
 
 @_stored("_reading")
@@ -331,39 +338,36 @@ def _read(word: SliceWord) -> _Reading:
     if not report.ok:
         raise InvalidDiagram("; ".join(report.problems))
     arrows: dict[int, int] = {}
-    for ev in trail:
-        if ev[0] == "cross":
-            arrows.setdefault(ev[1], len(arrows) + 1)
-    return _Reading(trail, arrows)
-
-
-def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
-    ids = reading.arrows
     tokens: list[Token] = []
-    ends = ([0] * (len(ids) + 1), [0] * (len(ids) + 1))  # token position of each T, H
-    rows: list[list[int]] = []  # the markings of the edge after each token
-    row = leading = []  # the passages before the first crossing close the last edge
-    for ev in reading.trail:
+    ends = ([], [])  # T, H token positions; an arrow's first visit fills both
+    row: list[int] = []
+    rows = [row]  # the boundary passages after no token, then after each token
+    f = next((i for i, ev in enumerate(trail) if ev[0] == "cross"), 0)
+    for ev in trail[f:] + trail[:f]:  # the passages before the first crossing end the curve
         if ev[0] == "cross":
-            k = ids[ev[1]]
-            ends[ev[2]][k] = len(tokens)
-            tokens.append(Token("H" if ev[2] else "T", k))
+            q, over = len(tokens), ev[2]
+            k = arrows.get(ev[1])
+            if k is None:
+                k = arrows[ev[1]] = len(arrows) + 1
+                ends[0].append(q)
+                ends[1].append(q)
+            else:
+                ends[over][k - 1] = q
+            tokens.append(_new_token(Token, ("H" if over else "T", k)))
             row = []
             rows.append(row)
         elif ev[1] == 0:  # a passage through the glued boundary
             row.append(ev[3])
-    if rows:
-        row += leading
-    else:
-        rows = [leading]
-    prefix = list(accumulate(map(sum, rows), initial=0))
+    return _Reading(trail, arrows, tuple(tokens), ends[1], ends[0], rows[1:] or rows)
+
+
+def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
+    prefix = list(accumulate(map(sum, reading.rows), initial=0))
     w = prefix[-1]
-    tails, heads = ends
-    arrows = []
-    for level, k in ids.items():
-        h, t = heads[k], tails[k]  # the arc h..t holds the valuation
-        arrows.append(Arrow(k, word.slices[level].sign, prefix[t] - prefix[h] + (0 if h < t else w)))
-    return assemble_tdiagram(tuple(tokens), tuple(arrows), w, rows)
+    # the arc from an arrow's H to its T holds the valuation
+    arrows = [Arrow(k, word.slices[level].sign, prefix[t] - prefix[h] + (0 if h < t else w))
+              for (level, k), h, t in zip(reading.arrows.items(), reading.heads, reading.tails)]
+    return assemble_tdiagram(reading.tokens, arrows, w, reading.rows)
 
 
 def extract_tdiagram(word: SliceWord) -> TDiagram:

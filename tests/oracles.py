@@ -432,6 +432,40 @@ def brute_least_rotations(tokens, arrows) -> tuple[int, ...]:
     return tuple(ties)
 
 
+def checked_tokens(tokens, arrows) -> tuple:
+    """The tokens ``DecoratedGaussDiagram`` stores, by the token check it ran
+    before one pass filled its position arrays: a sorted comparison with
+    H1..Hn T1..Tn, and on a mismatch the scan naming the first fault in
+    sequence order; then the least rotation by :func:`brute_least_rotations`.
+    Raises :class:`InvalidDiagram` as the constructor does."""
+    from torogram.diagrams import Token
+    from torogram.errors import InvalidDiagram
+
+    tokens = tuple(Token(k, a) for k, a in tokens)
+    ids = sorted(a.id for a in arrows)
+    n = len(ids)
+    if ids != list(range(1, n + 1)):
+        raise InvalidDiagram(f"arrow ids must be exactly 1..{n}, got {ids}")
+    try:
+        fine = sorted(tokens) == [*zip("H" * n, ids), *zip("T" * n, ids)]
+    except TypeError:  # a kind or an arrow of another type
+        fine = False
+    if not fine:
+        declared, seen = set(ids), set()
+        for tok in tokens:
+            if tok.kind not in ("H", "T"):
+                raise InvalidDiagram(f"unknown token kind {tok.kind!r}")
+            if tok.arrow not in declared:
+                raise InvalidDiagram(f"token for undeclared arrow {tok.arrow}")
+            if tok in seen:
+                raise InvalidDiagram(f"duplicate token {tok.kind}{tok.arrow}")
+            seen.add(tok)
+        if len(tokens) != 2 * n:
+            raise InvalidDiagram(f"expected {2 * n} tokens for {n} arrows, got {len(tokens)}")
+    shift = brute_least_rotations(tokens, {a.id: a for a in arrows})[0]
+    return tokens[shift:] + tokens[:shift]
+
+
 def brute_least_rotation(seq) -> int:
     """Every rotation listed in full, O(len^2): the reference for
     ``diagrams._least_rotation``.  The first start wins a tie."""

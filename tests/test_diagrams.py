@@ -41,7 +41,7 @@ from gen import (
     scrambled_tdiagram,
     t_diagrams,
 )
-from oracles import brute_least_rotation, brute_least_rotations
+from oracles import brute_least_rotation, brute_least_rotations, checked_tokens
 
 MARKED_THREE = """\
 circle 2
@@ -402,11 +402,69 @@ def test_least_rotations_match_the_full_key_scan():
         r = rng.randrange(len(g.tokens) or 1)
         tokens = g.tokens[r:] + g.tokens[:r]
         ties = brute_least_rotations(tokens, g.arrow_map)
-        assert _least_rotations(tokens, g.arrow_map) == ties
+        heads = [tokens.index(("H", a.id)) for a in g.arrows]
+        tails = [tokens.index(("T", a.id)) for a in g.arrows]
+        assert _least_rotations(heads, tails, g.arrows) == ties
         assert g._tied_rotations == tuple(t - ties[0] for t in ties)
         periodic_ties += len(ties) > 1
     # period collapse is exercised, not only elimination
     assert periodic_ties > 1000
+
+
+def _malformed(rng: random.Random, tokens: list, n: int) -> list:
+    """One to three faults put into a token list: a wrong kind, an id out of
+    range or of another type (bool, float, str), a duplicate, a dropped or
+    an extra token."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        q = rng.randrange(len(tokens)) if tokens else None
+        fault = rng.randrange(7)
+        if fault == 0 and tokens:
+            tokens[q] = (rng.choice(("X", "h", "", None, 1)), tokens[q][1])
+        elif fault == 1 and tokens:
+            tokens[q] = (tokens[q][0], rng.choice((0, -1, n + 1, n + 2)))
+        elif fault == 2 and tokens:  # equal to an int id, or not
+            a = tokens[q][1] if type(tokens[q][1]) is int else 1
+            tokens[q] = (tokens[q][0], rng.choice((a == 1, float(a), a + 0.5, str(a))))
+        elif fault == 3 and tokens:
+            tokens[q] = tokens[rng.randrange(len(tokens))]
+        elif fault == 4 and tokens:
+            del tokens[q]
+        elif fault == 5:
+            tokens.insert(rng.randint(0, len(tokens)), (rng.choice("HT"), rng.randint(1, n + 1)))
+        elif tokens:  # swap two ends' kinds, which can leave the word well formed
+            r = rng.randrange(len(tokens))
+            tokens[q], tokens[r] = (tokens[r][0], tokens[q][1]), (tokens[q][0], tokens[r][1])
+    return tokens
+
+
+def test_token_check_matches_the_sorted_comparison():
+    """The one-pass token check accepts and refuses what the sorted
+    comparison and its fault scan did, with the same message, and stores the
+    same tokens, of the same types, with positions that point at them."""
+    rng = random.Random(2210)
+    refused = odd_ids_accepted = 0
+    for i in range(3000):
+        g = random_dgd(rng, max_arrows=6)
+        tokens = list(g.tokens) if i % 10 == 0 else _malformed(rng, g.tokens, g.n)
+        tokens = [Token(*tok) if rng.random() < 0.5 else tuple(tok) for tok in tokens]
+        try:
+            want = checked_tokens(tokens, g.arrows)
+        except InvalidDiagram as e:
+            with pytest.raises(InvalidDiagram) as got:
+                DecoratedGaussDiagram(tuple(tokens), g.arrows, 0)
+            assert str(got.value) == str(e), tokens
+            refused += 1
+            continue
+        got = DecoratedGaussDiagram(tuple(tokens), g.arrows, 0)
+        assert [(*map(type, tok), *tok) for tok in got.tokens] == [
+            (*map(type, tok), *tok) for tok in want
+        ], tokens
+        for a in g.arrows:
+            h, t = got.positions[a.id]
+            assert (got.tokens[h], got.tokens[t]) == (("H", a.id), ("T", a.id))
+        odd_ids_accepted += any(type(tok.arrow) is not int for tok in want)
+    assert 1000 < refused < 2900 and odd_ids_accepted > 20
 
 
 def test_value_records_keep_dataclass_semantics():
