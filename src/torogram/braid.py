@@ -12,7 +12,7 @@ from .admit import _positive_levels
 from .diagrams import DecoratedGaussDiagram, TDiagram, _set_field, _stored, record
 from .errors import InvalidDiagram, ParseError
 from .refine import positive_refinement
-from .slices import RealCross, SliceWord, VirtualCross
+from .slices import RealCross, SliceWord, VirtualCross, _sort_swaps
 
 _KINDS = {"s": 1, "S": -1, "v": 0}
 
@@ -193,14 +193,7 @@ def _synthesize(t: TDiagram) -> VirtualBraidWord:
             swap("s" if sign == 1 else "S", col[left])
 
     # close up: arc j must exit where arc j+1 enters, so sort to 0..k-1
-    while True:
-        swapped = False
-        for c in range(1, k):
-            if at[c - 1] > at[c]:
-                swap("v", c)
-                swapped = True
-        if not swapped:
-            break
+    letters += map(kinds["v"].__getitem__, _sort_swaps(at))
     return VirtualBraidWord(k, tuple(letters))
 
 

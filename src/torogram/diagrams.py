@@ -16,9 +16,9 @@ T-diagram serializes from the tied rotation with the least marking tuple.
 """
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import accumulate, chain
-from operator import add, attrgetter
+from operator import add, attrgetter, sub
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram, ParseError
@@ -204,7 +204,7 @@ class DecoratedGaussDiagram:
     # the stored tokens start at (_rotation), the rotations of the stored
     # tokens tying for the least key, starting with 0 (_tied_rotations), and
     # positions
-    _admitted = _transitions = _realized = _texts = None  # see _stored
+    _admitted = _transitions = _realized = _texts = _arrows_by_id = _reference = None  # see _stored
 
     def __post_init__(self) -> None:
         tokens = self.tokens
@@ -256,43 +256,14 @@ class DecoratedGaussDiagram:
     def edge_count(self) -> int:
         return 2 * self.n if self.n else 1
 
-    @cached_property
+    @property
     def arrow_map(self) -> dict[int, Arrow]:
-        return {a.id: a for a in self.arrows}
+        return _arrow_map(self)
 
-    @cached_property
+    @property
     def reference_counts(self) -> tuple[int, ...]:
-        """One integer solution of the marking-count equations, per edge.
-
-        Built from prefix sums pinned at the basepoint: each arrow ties the
-        prefix values at its two endpoints together, and pairs not containing
-        position 0 get the smaller endpoint zeroed.  O(n), deterministic.
-        """
-        n = self.n
-        w = self.circle_valuation
-        if n == 0:
-            return (w,)
-        m = 2 * n
-        prefix = [0] * (m + 1)
-        prefix[m] = w
-        for arrow in self.arrows:
-            h, t = self.positions[arrow.id]
-            # sum of counts over edges h..t-1 (cyclically) equals the valuation,
-            # so prefix[t] - prefix[h] is the valuation (minus w when wrapping).
-            # Anchoring the smaller endpoint at 0 keeps prefix[0] = 0 because every
-            # position sits on exactly one arrow.
-            delta = arrow.valuation if h < t else arrow.valuation - w
-            if h < t:
-                prefix[h] = 0
-                prefix[t] = delta
-            else:
-                prefix[t] = 0
-                prefix[h] = -delta
-        counts = []
-        for e in range(m):
-            nxt = prefix[m] if e == m - 1 else prefix[e + 1]
-            counts.append(nxt - prefix[e])
-        return tuple(counts)
+        """One integer solution of the marking-count equations, per edge."""
+        return _reference_counts(self)
 
     def distinguished_loop(self, arrow_id: int) -> "DiagramLoop":
         """Head to tail along the circle, then back across the arrow."""
@@ -316,9 +287,35 @@ class DecoratedGaussDiagram:
         return canonical_serialize(self)
 
 
+@_stored("_arrows_by_id")
+def _arrow_map(g: DecoratedGaussDiagram) -> dict[int, Arrow]:
+    return {a.id: a for a in g.arrows}
+
+
+@_stored("_reference")
+def _reference_counts(g: DecoratedGaussDiagram) -> tuple[int, ...]:
+    """One integer solution of the marking-count equations, per edge, in
+    O(n): the steps of prefix sums running from 0 to w, each arrow's smaller
+    end pinned at 0 (every position sits on one arrow) and its larger end
+    set so that its edges, H to T cyclically, sum to its valuation."""
+    w = g.circle_valuation
+    if not g.n:
+        return (w,)
+    prefix = [0] * (2 * g.n) + [w]
+    for arrow in g.arrows:
+        h, t = g.positions[arrow.id]
+        if h < t:
+            prefix[t] = arrow.valuation
+        else:
+            prefix[h] = w - arrow.valuation
+    return tuple(map(sub, prefix[1:], prefix[:-1]))
+
+
 @record
 class TDiagram:
-    """A decorated Gauss diagram with ordered signed markings on every edge."""
+    """A decorated Gauss diagram with ordered signed markings on every edge.
+    Construction also counts them, outside the fields: ``marking_count``,
+    ``is_nonnegative`` (no -1) and ``is_positive`` (no -1, at least one +1)."""
 
     base: DecoratedGaussDiagram
     markings: tuple[tuple[int, ...], ...]
@@ -330,25 +327,18 @@ class TDiagram:
             raise InvalidDiagram(
                 f"expected marking lists for {self.base.edge_count} edges, got {len(marks)}"
             )
-        for s in chain.from_iterable(marks):
-            if s not in (1, -1):
-                raise InvalidDiagram(f"marking sign must be +1 or -1, got {s}")
-        object.__setattr__(self, "markings", marks)
-
-    @cached_property
-    def marking_count(self) -> int:
-        return sum(len(edge) for edge in self.markings)
-
-    @cached_property
-    def is_nonnegative(self) -> bool:
-        return all(s == 1 for edge in self.markings for s in edge)
-
-    @cached_property
-    def is_positive(self) -> bool:
-        return self.is_nonnegative and self.marking_count >= 1
+        flat = list(chain.from_iterable(marks))
+        plus, minus = flat.count(1), flat.count(-1)
+        if plus + minus != len(flat):
+            bad = next(s for s in flat if s not in (1, -1))
+            raise InvalidDiagram(f"marking sign must be +1 or -1, got {bad}")
+        _set_field(self, "markings", marks)
+        _set_field(self, "marking_count", len(flat))
+        _set_field(self, "is_nonnegative", not minus)
+        _set_field(self, "is_positive", not minus and plus >= 1)
 
     def net_counts(self) -> tuple[int, ...]:
-        return tuple(sum(edge) for edge in self.markings)
+        return tuple(map(sum, self.markings))
 
     def __str__(self) -> str:
         return canonical_serialize(self)

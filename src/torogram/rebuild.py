@@ -10,13 +10,15 @@ picture from the knot cut open at its markings.
 
 The criterion.  With n crossings and k markings, a real picture exists
 exactly when the curve's map has n + 2 faces and the face classes are
-{+1, -1, 0 x n}.  The face count does not depend on the refinement, so it is
-checked before any refinement is computed.  A marking on edge e separates
-face A, that of dart 2e, from face B, that of dart 2e + 1; its dual edge runs
-B -> A for a +1 marking and A -> B for a -1 marking, and a face's class is
-its in-degree minus its out-degree.  The columns, left to right, are the
-markings met by the dual path from the class -1 face to the class +1 face.
-Why this is sound:
+{+1, -1, 0 x n}.  A marking on edge e separates face A, that of dart 2e,
+from face B, that of dart 2e + 1; its dual edge runs B -> A for a +1 marking
+and A -> B for a -1 marking, and a face's class is its in-degree minus its
+out-degree.  :func:`_annulus` decides both conditions from the reference
+counts, before any refinement is computed: two refinements' counts differ by
+δπ (see :mod:`torogram.refine`), and the dual edges of δ of one crossing's
+indicator form a cycle round it, one in and one out at every face.  The
+columns, left to right, are the markings met by the dual path from the
+class -1 face to the class +1 face.  Why this is sound:
 
 1. Cutting at the markings and gluing the cut ends back restores the curve,
    so n + 2 faces means genus 0: the map lies on a sphere.
@@ -35,7 +37,8 @@ Why this is sound:
 6. A real drawing lies on the same sphere, so its knot cuts the annulus
    into these faces, that of dart 2e + 1 left of an upward passage of edge
    e; :func:`find_section` searches their dual graph from the class -1 face
-   to the class +1 face of the drawing's own boundary markings.
+   to the class +1 face of the drawing's own boundary markings, by the same
+   breadth-first :func:`_dual_path` that reads the columns.
 
 Either failed condition raises :class:`NotRealRealizable` with its reason;
 both can be re-checked from the face map alone.
@@ -72,6 +75,7 @@ from .slices import (
     SliceWord,
     VirtualCross,
     _apply_slice,
+    _edges_by_first_passage,
     _extraction,
     _read,
 )
@@ -163,37 +167,56 @@ class _Web:
         return 2 * self.first[a] if side == 0 else 2 * self.first[a + 1] - 1
 
 
-def _winding(face: list[int], count: int, markings) -> list[int]:
-    """Every face's class under the markings: the in-degree minus the
-    out-degree of their dual edges (see the module docstring)."""
-    winding = [0] * count
-    for e, row in enumerate(markings):
-        for s in row:
-            winding[face[2 * e]] += s
-            winding[face[2 * e + 1]] -= s
-    return winding
-
-
-def _columns(web: _Web, face: list[int]) -> tuple[int, ...]:
-    """The markings in the order the section's dual path crosses them, or
-    why the faces wind wrongly around the annulus (see the module docstring)."""
-    n = web.base.n
-    winding = _winding(face, n + 2, web.t.markings)
-    leaving: dict[int, tuple[int, int]] = {}  # face -> (marking, face across it)
-    for j, e in enumerate(web.edges):
-        a, b = face[2 * e], face[2 * e + 1]
-        tail, head = (b, a) if web.signs[j] == 1 else (a, b)
-        leaving[tail] = (j, head)
+def _annulus(g: DecoratedGaussDiagram, counts) -> tuple[list[int], int, int]:
+    """(face, start, goal): the curve's faces and its class -1 and +1 faces
+    under the per-edge net ``counts`` of any refinement, or why it does not
+    draw in the annulus (see the module docstring)."""
+    n = g.n
+    face, count = _curve_faces(g)
+    if count != n + 2:
+        raise NotRealRealizable("the glued surface is not an annulus")
+    winding = [0] * count  # in-degree minus out-degree of the dual edges
+    for e, c in enumerate(counts):
+        if c:
+            winding[face[2 * e]] += c
+            winding[face[2 * e + 1]] -= c
     if sorted(winding) != [-1] + [0] * n + [1]:
         raise NotRealRealizable("the glued faces wind wrongly around the annulus")
-    at, goal = winding.index(-1), winding.index(1)
-    columns: list[int] = []
-    while at != goal and len(columns) < web.k:
-        j, at = leaving[at]
-        columns.append(j)
-    if at != goal or len(set(columns)) != web.k:
-        raise RuntimeError("a dual cycle off the section's path: the refinement is not minimal")
-    return tuple(columns)
+    return face, winding.index(-1), winding.index(1)
+
+
+def _dual_path(face: list[int], count: int, start: int, goal: int, markings, order) -> list:
+    """(edge, sign) along the face path from start to goal with the fewest
+    crossings, first in ``order`` among those, or [] if none: crossing edge e
+    is a move from face[2e + 1] to face[2e] when e holds a +1 marking, back
+    when it holds a -1, and never when both are one face."""
+    adj: list[list] = [[] for _ in range(count)]  # (face across, edge, sign)
+    for e in order:
+        row = markings[e]
+        a, b = face[2 * e], face[2 * e + 1]
+        if row and a != b:
+            if 1 in row:
+                adj[b].append((a, e, 1))
+            if -1 in row:
+                adj[a].append((b, e, -1))
+    came: list = [None] * count
+    came[start] = ()
+    queue = [start]
+    for at in queue:
+        for to, e, s in adj[at]:
+            if came[to] is None:
+                came[to] = (at, e, s)
+                queue.append(to)
+        if came[goal] is not None:
+            break
+    else:
+        return []
+    path, at = [], goal
+    while came[at]:
+        at, e, s = came[at]
+        path.append((e, s))
+    path.reverse()
+    return path
 
 
 @record
@@ -272,11 +295,14 @@ def _rebuilt(g: DecoratedGaussDiagram) -> AnnularDiagram:
     picture once."""
     if not is_full(g):
         raise NotFull("only a diagram with nonzero decorations rebuilds to a real picture")
-    face, count = _curve_faces(g)
-    if count != g.n + 2:
-        raise NotRealRealizable("the glued surface is not an annulus")
+    face, start, goal = _annulus(g, g.reference_counts)
     web = _Web(minimal_refinement(g))
-    columns = _columns(web, face)
+    # a minimal refinement's k dual edges form one path: any order finds it
+    path = _dual_path(face, g.n + 2, start, goal, web.t.markings, web.edges)
+    if len(path) != web.k:
+        raise RuntimeError("a dual cycle off the section's path: the refinement is not minimal")
+    marking_of = {e: j for j, e in enumerate(web.edges)}
+    columns = tuple(marking_of[e] for e, _ in path)
     return AnnularDiagram(refinement=web.t, column_markings=columns, word=_sweep(web, columns))
 
 
@@ -443,7 +469,7 @@ def find_section(word: SliceWord, t: TDiagram):
     markings kept from ``t``: returns the surviving refinement and the
     crossing sequence (edge, index within the kept edge list, sign) read
     from the left boundary to the right one."""
-    reading = _read(word)
+    _read(word)
     if any(isinstance(s, VirtualCross) for s in word.slices):
         raise InvalidDiagram("the drawing must be real: no virtual crossings")
     drawn = _extraction(word)
@@ -458,56 +484,19 @@ def find_section(word: SliceWord, t: TDiagram):
 
     # the knot cuts the annulus into its curve's faces (see the module
     # docstring), and the glued boundary runs from class -1 to class +1
-    face, count = _curve_faces(drawn.base)
-    if count != drawn.base.n + 2:
-        raise RuntimeError("a real drawing's curve must lie on a sphere")
-    winding = _winding(face, count, drawn.markings)
-    if -1 not in winding:
-        raise RuntimeError("a full knot must separate the boundaries")
-    start, goal = winding.index(-1), winding.index(1)
-    # each edge's first passage (line, column), the least of its pieces'
-    # lowest ones; the passages before the first crossing close the last edge
-    m = drawn.base.edge_count
-    first = [(len(word.slices) + 1, 0)] * m
-    e = (-1 - drawn.base._rotation) % m
-    for ev in reading.trail:
-        if ev[0] == "cross":
-            e = (e + 1) % m
-        else:
-            first[e] = min(first[e], ev[1:3])
+    try:
+        face, start, goal = _annulus(drawn.base, drawn.net_counts())
+    except NotRealRealizable as e:
+        raise RuntimeError(f"a real drawing must draw in the annulus: {e.reason}") from None
     # a simple face path crosses each edge at most once, so any marking of a
-    # move's sign pays for it; t's moves out of each face: (face across, edge, sign)
-    adj: list[list] = [[] for _ in range(count)]
-    for e in sorted(range(m), key=first.__getitem__):
-        a, b = face[2 * e], face[2 * e + 1]
-        if a == b:
-            continue  # crossing it would revisit the face
-        if 1 in t.markings[e]:
-            adj[b].append((a, e, 1))
-        if -1 in t.markings[e]:
-            adj[a].append((b, e, -1))
-    # breadth-first, keeping the first way into each face: the path to the
-    # goal is the first in passage order among the fewest crossings
-    came: dict = {start: None}
-    queue = [start]
-    for at in queue:
-        for to, e, s in adj[at]:
-            if to not in came:
-                came[to] = (at, e, s)
-                queue.append(to)
-        if goal in came:
-            break
-    else:
+    # move's sign pays for it; moves are tried in first-passage order
+    order = _edges_by_first_passage(word)
+    path = _dual_path(face, drawn.base.n + 2, start, goal, t.markings, order)
+    if not path:
         raise RuntimeError("no transverse path found; the drawing should admit one")
-    seq = []
-    at = goal
-    while came[at] is not None:
-        at, e, s = came[at]
-        seq.append((e, 0, s))
-    seq.reverse()
-    kept = {e: (s,) for e, _, s in seq}
+    kept = {e: (s,) for e, s in path}
     marks = tuple(kept.get(e, ()) for e in range(t.base.edge_count))
-    return TDiagram(t.base, marks), tuple(seq)
+    return TDiagram(t.base, marks), tuple((e, 0, s) for e, s in path)
 
 
 # -- SVG ----------------------------------------------------------------------------

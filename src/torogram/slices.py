@@ -361,6 +361,21 @@ def _read(word: SliceWord) -> _Reading:
     return _Reading(trail, arrows, tuple(tokens), ends[1], ends[0], rows[1:] or rows)
 
 
+def _edges_by_first_passage(word: SliceWord) -> list[int]:
+    """The edges of the word's extraction ordered by their first passage
+    (line, column), the least of their pieces' lowest ones."""
+    base = _extraction(word).base
+    m = base.edge_count
+    first = [(len(word.slices) + 1, 0)] * m
+    e = (-1 - base._rotation) % m  # the passages before the first crossing close the last edge
+    for ev in _read(word).trail:
+        if ev[0] == "cross":
+            e = (e + 1) % m
+        else:
+            first[e] = min(first[e], ev[1:3])
+    return sorted(range(m), key=first.__getitem__)
+
+
 def _tdiagram(word: SliceWord, reading: _Reading) -> TDiagram:
     prefix = list(accumulate(map(sum, reading.rows), initial=0))
     w = prefix[-1]
@@ -531,17 +546,26 @@ def _represent_parked(t: TDiagram) -> SliceWord:
         slide_and_cup(pen, port_bottom[0])
 
     order = [top_lane[s] for s in frontier]
+    letters += map(VirtualCross, _sort_swaps(order))
+    if order != list(range(1, k + 1)):
+        raise RuntimeError("parked strands do not surface in lane order")
+    return SliceWord(tuple(lane_signs), tuple(letters))
+
+
+def _sort_swaps(order: list) -> list[int]:
+    """Sort ``order`` in place by left-to-right passes of adjacent swaps, and
+    return the left column (from 1) of each swap made, in order: one virtual
+    crossing per swap."""
+    columns: list[int] = []
     swapped = True
     while swapped:
         swapped = False
         for i in range(len(order) - 1):
             if order[i] > order[i + 1]:
                 order[i], order[i + 1] = order[i + 1], order[i]
-                letters.append(VirtualCross(i + 1))
+                columns.append(i + 1)
                 swapped = True
-    if order != list(range(1, k + 1)):
-        raise RuntimeError("parked strands do not surface in lane order")
-    return SliceWord(tuple(lane_signs), tuple(letters))
+    return columns
 
 
 def represent_dgd(g: DecoratedGaussDiagram) -> SliceWord:

@@ -28,7 +28,7 @@ from torogram import (
 from torogram.braid import braid_to_sliceword, parse_braid, serialize_braid
 from torogram.cli import main
 from torogram.diagrams import TDiagram
-from torogram.errors import InvalidDiagram, ParseError
+from torogram.errors import InvalidDiagram, NotRealRealizable, ParseError
 from torogram.rebuild import reconstruct, to_sliceword
 from torogram.refine import MAX_MARKINGS, positive_refinement
 from torogram.slices import extract_tdiagram, parse_sliceword, serialize_sliceword
@@ -215,6 +215,19 @@ def test_reconstruct_reports_unfull_input(capsys, val0):
 def test_reconstruct_reports_unreal_input(capsys, tmp_path):
     p = tmp_path / "double.gd"
     p.write_text("circle 2\narrows 0\nseq\n")
+    code, out, _ = run(capsys, "reconstruct", str(p))
+    assert code == 1
+    assert "wind" in out
+
+
+def test_a_circle_wound_past_the_marking_limit_is_refused_as_winding(capsys, tmp_path):
+    # the classes are read from the reference counts, so the verdict comes
+    # before a refinement of 2,000,000 markings would be refused as too large
+    text = "circle 2000000\narrows 0\nseq\n"
+    with pytest.raises(NotRealRealizable, match="wind"):
+        reconstruct(parse_diagram(text))
+    p = tmp_path / "wound.gd"
+    p.write_text(text)
     code, out, _ = run(capsys, "reconstruct", str(p))
     assert code == 1
     assert "wind" in out

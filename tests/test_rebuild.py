@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from torogram import canonical_serialize, parse_diagram
+from torogram import canonical_serialize, parse_diagram, rebuild
 from torogram.braid import Letter, VirtualBraidWord, braid_to_sliceword, closure_permutation_of
 from torogram.diagrams import TDiagram, is_full
 from torogram.errors import InvalidDiagram, NotFull, NotRealRealizable
+from torogram.refine import find_refinement, minimal_refinement
 from torogram.rebuild import (
+    _annulus,
     _curve_faces,
-    _winding,
     annular_to_json,
     find_section,
     reconstruct,
@@ -216,6 +217,46 @@ def test_rebuild_names_the_glued_surface_fault(glued_corpus):
     assert {outcome for *_, outcome in glued_corpus} == GLUED_REASONS | {None}
 
 
+def _classes(g, counts):
+    """Every face's class under per-edge net counts, computed afresh."""
+    face, count = _curve_faces(g)
+    winding = [0] * count
+    for e, c in enumerate(counts):
+        winding[face[2 * e]] += c
+        winding[face[2 * e + 1]] -= c
+    return winding
+
+
+def test_wrong_classes_are_refused_before_any_refinement(glued_corpus, monkeypatch):
+    def refuse(g):
+        raise AssertionError("a refinement was computed")
+
+    monkeypatch.setattr(rebuild, "minimal_refinement", refuse)
+    wound = [canonical_serialize(g) for g, *_, outcome in glued_corpus
+             if outcome and "wind" in outcome]
+    assert len(wound) >= 100
+    for text in wound + ["circle 2\narrows 0\nseq\n"]:
+        with pytest.raises(NotRealRealizable, match="^the glued faces wind wrongly around the annulus$"):
+            reconstruct(parse_diagram(text))  # a fresh copy: the verdict is stored on the diagram
+
+
+def test_classes_from_the_reference_counts_match_every_refinement():
+    # two refinements differ by δπ, and the dual of δ of one crossing's
+    # indicator is a cycle round it, so the classes do not depend on the
+    # refinement once the curve lies on a sphere
+    rng = random.Random(89)
+    spherical = 0
+    for _ in range(1500):
+        g = random_dgd(rng, max_arrows=7)
+        if _curve_faces(g)[1] != g.n + 2:
+            continue
+        spherical += 1
+        want = _classes(g, g.reference_counts)
+        assert _classes(g, find_refinement(g).net_counts()) == want
+        assert _classes(g, minimal_refinement(g).net_counts()) == want
+    assert spherical >= 300
+
+
 def _mixed_closure(rng, strands, letters):
     """A braid word of ``letters`` random s/S letters whose closure is a knot;
     ``letters`` must be congruent to ``strands - 1`` mod 2."""
@@ -397,8 +438,15 @@ def test_every_passage_of_an_edge_joins_the_same_two_regions():
         assert all(len(one) == 1 for one in moves.values()), serialize_sliceword(word)
         assert set(to_face) == set(region.values())
         assert sorted(to_face.values()) == list(range(faces))  # one-to-one onto the faces
-        winding = _winding(face, faces, drawn.markings)
-        assert winding.count(-1) == 1 and to_face[region[(0, 0)]] == winding.index(-1)
+        winding = [0] * faces  # each marking's dual edge, into the face of dart 2e if +1
+        for e, row in enumerate(drawn.markings):
+            for s in row:
+                winding[face[2 * e]] += s
+                winding[face[2 * e + 1]] -= s
+        assert sorted(winding) == [-1] + [0] * drawn.base.n + [1]
+        _, start, goal = _annulus(drawn.base, drawn.net_counts())
+        assert (start, goal) == (winding.index(-1), winding.index(1))
+        assert to_face[region[(0, 0)]] == start
         repeated += sum(count > 1 for count in passages.values())
     assert repeated > 100  # many edges pass several lines
 
